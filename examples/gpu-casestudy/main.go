@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -64,47 +65,32 @@ func main() {
 	}
 	T, dt := 20e-6, 1e-9
 	fmt.Printf("\nVoltage noise running %s for %.0f us:\n", bench.Name, T*1e6)
-	off, err := sys.SimulateOffChipVRM(bench, T, dt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  %-22s %5.1f mVpp (worst droop %5.1f mV)\n", off.Config, off.NoiseVpp*1e3, off.WorstDroop*1e3)
-	for _, n := range []int{1, 2, 4} {
-		r, err := sys.SimulateIVR(design, n, bench, T, dt)
+	rails := []ivory.Rail{ivory.IVRRail(0), ivory.IVRRail(1), ivory.IVRRail(2), ivory.IVRRail(4)}
+	noise := make([]*ivory.NoiseResult, len(rails))
+	for i, rail := range rails {
+		reg := ivory.Regulator{Rail: rail, SC: design}
+		noise[i], err = sys.Simulate(context.Background(), reg, bench, T, dt, ivory.SimOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-22s %5.1f mVpp (worst droop %5.1f mV)\n", r.Config, r.NoiseVpp*1e3, r.WorstDroop*1e3)
+		fmt.Printf("  %-22s %5.1f mVpp (worst droop %5.1f mV)\n", noise[i].Config, noise[i].NoiseVpp*1e3, noise[i].WorstDroop*1e3)
 	}
 
 	// Step 3 — the delivery-efficiency consequence: power breakdowns with
 	// the measured guardbands.
 	fmt.Println("\nPower-delivery efficiency with measured guardbands:")
-	offB, err := sys.PowerBreakdown(ivory.BreakdownParams{
-		Config: "off-chip VRM", Margin: off.WorstDroop,
-		VRMEfficiency: 0.89, NumIVRs: 0,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  %-22s %.1f%% (P_src %.1f W for %.0f W of compute)\n",
-		offB.Config, offB.Efficiency*100, offB.PSource, offB.PCoreUseful)
 	mIVR, err := design.Evaluate(spec.IMax)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, n := range []int{1, 2, 4} {
-		r, err := sys.SimulateIVR(design, n, bench, T, dt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		b, err := sys.PowerBreakdown(ivory.BreakdownParams{
-			Config: r.Config, Margin: r.WorstDroop,
-			IVREfficiency: mIVR.Efficiency, VRMEfficiency: 0.97, NumIVRs: n,
+	for i, rail := range rails {
+		b, err := sys.Breakdown(rail, ivory.BreakdownParams{
+			Margin: noise[i].WorstDroop, RegulatorEfficiency: mIVR.Efficiency,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-22s %.1f%% (P_src %.1f W)\n", b.Config, b.Efficiency*100, b.PSource)
+		fmt.Printf("  %-22s %.1f%% (P_src %.1f W for %.0f W of compute)\n",
+			b.Config, b.Efficiency*100, b.PSource, b.PCoreUseful)
 	}
 }

@@ -13,19 +13,9 @@ import (
 	"ivory/internal/workload"
 )
 
-// noiseConfigs are the four PDS configurations of the case study.
-var noiseConfigs = []int{0, 1, 2, 4} // 0 = off-chip VRM
-
-func configName(n int) string {
-	switch n {
-	case 0:
-		return "off-chip VRM"
-	case 1:
-		return "centralized IVR"
-	default:
-		return fmt.Sprintf("%d distributed IVRs", n)
-	}
-}
+// noiseConfigs are the four PDS configurations of the case study as IVR
+// counts; pds.IVRRail maps each to its rail (0 = off-chip VRM).
+var noiseConfigs = []int{0, 1, 2, 4}
 
 // Fig10Cell is one benchmark x configuration box-plot entry.
 type Fig10Cell struct {
@@ -83,21 +73,13 @@ func caseIVRDesign(ctx context.Context, cs *CaseSystem) (*sc.Design, error) {
 // Fig10 runs the workload-driven noise analysis. T and dt control the
 // simulated span per cell; zero selects 20 µs at 1 ns.
 func Fig10(T, dt float64) (*Fig10Result, error) {
-	return Fig10Context(context.Background(), T, dt)
-}
-
-// Fig10Context is Fig10 with run control: the context cancels the
-// underlying exploration and every in-flight simulation cell (the poll sits
-// inside the transient integration loops, so cancellation does not wait for
-// a cell to finish).
-func Fig10Context(ctx context.Context, T, dt float64) (*Fig10Result, error) {
-	return Fig10Run(ctx, TransientOptions{T: T, Dt: dt})
+	return Fig10Run(context.Background(), TransientOptions{T: T, Dt: dt})
 }
 
 // fig10Cell names one benchmark × configuration simulation.
 type fig10Cell struct {
 	bench string
-	nIVR  int
+	rail  pds.Rail
 }
 
 // fig10Cells enumerates the benchmark × configuration grid in the fixed
@@ -129,7 +111,7 @@ func fig10Cells(opt TransientOptions) ([]fig10Cell, []int, error) {
 	cells := make([]fig10Cell, 0, len(names)*len(configs))
 	for _, b := range names {
 		for _, n := range configs {
-			cells = append(cells, fig10Cell{bench: b, nIVR: n})
+			cells = append(cells, fig10Cell{bench: b, rail: pds.IVRRail(n)})
 		}
 	}
 	if len(cells) == 0 {
@@ -185,14 +167,9 @@ func Fig10Run(ctx context.Context, opt TransientOptions) (*Fig10Result, error) {
 		scr := scratchPool.Get().(*pds.Scratch)
 		defer scratchPool.Put(scr)
 		simOpt := pds.SimOptions{KeepTrace: c.bench == "CFD", Scratch: scr}
-		var nr *pds.NoiseResult
-		if c.nIVR == 0 {
-			nr, err = cs.System.SimulateOffChipVRMContext(runCtx, bench, T, dt, simOpt)
-		} else {
-			nr, err = cs.System.SimulateIVRContext(runCtx, design, c.nIVR, bench, T, dt, simOpt)
-		}
+		nr, err := cs.System.Simulate(runCtx, pds.Regulator{Rail: c.rail, SC: design}, bench, T, dt, simOpt)
 		if err != nil {
-			errs[i] = fmt.Errorf("experiments: %s / %s: %w", c.bench, configName(c.nIVR), err)
+			errs[i] = fmt.Errorf("experiments: %s / %s: %w", c.bench, c.rail.Label(), err)
 			cancel()
 			return
 		}
@@ -219,7 +196,7 @@ func Fig10Run(ctx context.Context, opt TransientOptions) (*Fig10Result, error) {
 		res.Cells = append(res.Cells, Fig10Cell{
 			Benchmark:  c.bench,
 			Config:     nr.Config,
-			Stats:      nr.Stats(),
+			Stats:      nr.VStats,
 			NoiseVpp:   nr.NoiseVpp,
 			WorstDroop: nr.WorstDroop,
 		})
@@ -258,30 +235,20 @@ func (r *Fig10Result) Format() string {
 	out := "Fig. 10 — voltage-noise statistics per benchmark and VR configuration\n"
 	out += table([]string{"benchmark", "config", "median", "Q1", "Q3", "min", "max", "Vpp(mV)"}, rows)
 	out += "\nWorst-case noise range per configuration:\n"
-	for _, n := range r.configsOrDefault() {
-		name := configName(n)
+	for _, n := range r.Configs {
+		name := pds.IVRRail(n).Label()
 		out += fmt.Sprintf("  %-22s %.1f mV (worst droop %.1f mV)\n",
 			name, r.NoiseByConfig[name]*1e3, r.DroopByConfig[name]*1e3)
 	}
 	return out
 }
 
-// configsOrDefault returns the run's configuration list, falling back to
-// the case-study set for results built before the field existed.
-func (r *Fig10Result) configsOrDefault() []int {
-	if len(r.Configs) > 0 {
-		return r.Configs
-	}
-	return noiseConfigs
-}
-
 // FormatFig11 renders the CFD waveform comparison (Fig. 11).
 func (r *Fig10Result) FormatFig11() string {
 	out := "Fig. 11 — CFD supply-voltage traces per VR configuration\n"
-	cfgList := r.configsOrDefault()
-	configs := make([]string, 0, len(cfgList))
-	for _, n := range cfgList {
-		configs = append(configs, configName(n))
+	configs := make([]string, 0, len(r.Configs))
+	for _, n := range r.Configs {
+		configs = append(configs, pds.IVRRail(n).Label())
 	}
 	out += "Noise ranges: "
 	for i, cfg := range configs {

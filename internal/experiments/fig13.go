@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"ivory/internal/buck"
 	"ivory/internal/core"
 	"ivory/internal/parallel"
 	"ivory/internal/pds"
-	"ivory/internal/tech"
 )
 
 // Fig13Result reproduces the paper's Fig. 13: the source-to-core power
@@ -27,65 +25,16 @@ type Fig13Result struct {
 	BestConfig string
 }
 
-// vrmEfficiency evaluates an off-chip VRM (surface-mount buck at low
-// frequency) producing vOut at power pOut from the 3.3 V board rail, using
-// the same buck model as on-chip designs — the commensurate-modeling
-// principle of the paper.
-func vrmEfficiency(vIn, vOut, pOut float64) (float64, error) {
-	iLoad := pOut / vOut
-	cfg := buck.Config{
-		Node:       tech.MustLookup("130nm"), // board-class silicon
-		Inductor:   tech.SurfaceMount,
-		OutCap:     tech.MIMCap,
-		VIn:        vIn,
-		VOut:       vOut,
-		L:          300e-9,
-		COut:       20e-6,
-		FSw:        2e6,
-		GHigh:      50,
-		GLow:       80,
-		Interleave: 4,
-	}
-	d, err := buck.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	d, err = d.OptimizeConductances(iLoad)
-	if err != nil {
-		return 0, err
-	}
-	m, err := d.Evaluate(iLoad)
-	if err != nil {
-		return 0, err
-	}
-	// Board-level realities the on-chip model does not include: the input
-	// filter network and sense/trace resistance between the VRM and the
-	// board plane (~1.2 mOhm at the output current), plus the analog
-	// controller's quiescent power.
-	rTrace := 1.2e-3
-	pTrace := iLoad * iLoad * rTrace
-	pCtl := 0.25
-	loss := m.Loss.Total() + pTrace + pCtl
-	return m.POut / (m.POut + loss), nil
-}
-
 // Fig13 computes the power breakdowns. The noise analysis (Fig. 10) is
 // re-run at a reduced span to extract guardbands; pass a pre-computed
 // result to reuse it.
 func Fig13(noise *Fig10Result) (*Fig13Result, error) {
-	return Fig13Context(context.Background(), noise)
+	return Fig13Run(context.Background(), noise, TransientOptions{})
 }
 
-// Fig13Context is Fig13 with run control threaded into the noise analysis
-// (when not pre-computed) and each margin-aware re-exploration.
-func Fig13Context(ctx context.Context, noise *Fig10Result) (*Fig13Result, error) {
-	return Fig13Run(ctx, noise, TransientOptions{})
-}
-
-// Fig13Run fans the per-configuration work — the off-chip VRM sizing and
-// each margin-aware IVR re-exploration — out over opt.Workers, then merges
-// breakdowns in configuration order, so results match the serial path
-// bit-for-bit at every worker count.
+// Fig13Run fans the margin-aware IVR re-explorations out over opt.Workers,
+// then computes the breakdowns in configuration order, so results match
+// the serial path bit-for-bit at every worker count.
 func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*Fig13Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -101,33 +50,22 @@ func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*F
 		}
 	}
 	res := &Fig13Result{Margins: map[string]float64{}}
-	pCore := cs.System.TDPPerCore * float64(cs.System.Cores)
-	// Phase 1: per-configuration conversion parameters, fanned out. Each
-	// slot is owned by its configuration index; margins are recorded in the
+	// Phase 1: per-configuration ladder parameters, fanned out. Each slot
+	// is owned by its configuration index; margins are recorded in the
 	// merge below to keep map writes single-goroutine.
+	rails := make([]pds.Rail, len(noiseConfigs))
 	params := make([]pds.BreakdownParams, len(noiseConfigs))
 	errs := make([]error, len(noiseConfigs))
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ferr := parallel.ForContext(runCtx, len(noiseConfigs), opt.Workers, func(i int) {
-		nIVR := noiseConfigs[i]
-		name := configName(nIVR)
-		margin := noise.DroopByConfig[name]
+		rails[i] = pds.IVRRail(noiseConfigs[i])
+		margin := noise.DroopByConfig[rails[i].Label()]
 		if margin < 0 {
 			margin = 0
 		}
-		if nIVR == 0 {
-			// The board VRM must produce the core voltage plus margin.
-			vrmEff, err := vrmEfficiency(cs.System.VSource, cs.System.VNominal+margin, pCore)
-			if err != nil {
-				errs[i] = err
-				cancel()
-				return
-			}
-			params[i] = pds.BreakdownParams{
-				Config: name, Margin: margin,
-				VRMEfficiency: vrmEff, NumIVRs: 0,
-			}
+		params[i].Margin = margin
+		if rails[i].Kind == pds.OffChipVRM {
 			return
 		}
 		// Re-explore the IVR at its actual regulated level (nominal plus
@@ -150,14 +88,7 @@ func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*F
 			cancel()
 			return
 		}
-		params[i] = pds.BreakdownParams{
-			Config: name, Margin: margin,
-			IVREfficiency: cand.Metrics.Efficiency,
-			// The board rail reaches the IVRs through the PDN with only
-			// light conditioning (3.3 V pass-through).
-			VRMEfficiency: 0.97,
-			NumIVRs:       nIVR,
-		}
+		params[i].RegulatorEfficiency = cand.Metrics.Efficiency
 	})
 	if err := firstCellError(errs); err != nil {
 		return nil, err
@@ -168,22 +99,21 @@ func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*F
 	// Phase 2: breakdowns and aggregates, in enumeration order.
 	var offEff float64
 	bestEff := -1.0
-	for i, nIVR := range noiseConfigs {
+	for i, r := range rails {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		name := configName(nIVR)
-		res.Margins[name] = params[i].Margin
-		b, err := cs.System.PowerBreakdown(params[i])
+		res.Margins[r.Label()] = params[i].Margin
+		b, err := cs.System.Breakdown(r, params[i])
 		if err != nil {
 			return nil, err
 		}
 		res.Breakdowns = append(res.Breakdowns, b)
-		if nIVR == 0 {
+		if r.Kind == pds.OffChipVRM {
 			offEff = b.Efficiency
 		} else if b.Efficiency > bestEff {
 			bestEff = b.Efficiency
-			res.BestConfig = name
+			res.BestConfig = r.Label()
 		}
 	}
 	res.ImprovementPP = (bestEff - offEff) * 100

@@ -151,17 +151,3 @@ func RealFFTMagnitude(x []float64, dt float64) (freq, amp []float64) {
 	}
 	return freq, amp
 }
-
-// Hann applies a Hann window to x in place and returns x. Windowing reduces
-// spectral leakage when the analysis interval does not hold an integer
-// number of periods of the dominant tones.
-func Hann(x []float64) []float64 {
-	n := len(x)
-	if n < 2 {
-		return x
-	}
-	for i := range x {
-		x[i] *= 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
-	}
-	return x
-}

@@ -134,14 +134,3 @@ func TestRealFFTMagnitude(t *testing.T) {
 		t.Errorf("amplitude at 50 MHz = %v, want 1", amp[best])
 	}
 }
-
-func TestHannWindowEndpoints(t *testing.T) {
-	x := []float64{1, 1, 1, 1, 1}
-	Hann(x)
-	if x[0] != 0 || x[len(x)-1] != 0 {
-		t.Errorf("Hann endpoints not zero: %v", x)
-	}
-	if math.Abs(x[2]-1) > 1e-12 {
-		t.Errorf("Hann midpoint = %v, want 1", x[2])
-	}
-}

@@ -78,26 +78,6 @@ func TestLUDeterminant(t *testing.T) {
 	}
 }
 
-func TestInverse(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{4, 7}, {2, 6}})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := a.Mul(inv)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if !almostEq(p.At(i, j), want, 1e-12) {
-				t.Errorf("A*inv(A)(%d,%d) = %v", i, j, p.At(i, j))
-			}
-		}
-	}
-}
-
 // Property: for random well-conditioned systems, Solve recovers a known x.
 func TestSolveRandomProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))

@@ -39,38 +39,6 @@ func RK4Step(f DerivFunc, t float64, x []float64, h float64, scratch []float64) 
 	}
 }
 
-// IntegrateRK4 integrates dx/dt = f(t, x) from t0 to t1 with fixed step h,
-// starting from x0. It returns the sampled times and a snapshot of the state
-// at each time (including t0). The final step is shortened to land exactly
-// on t1.
-func IntegrateRK4(f DerivFunc, t0, t1, h float64, x0 []float64) (ts []float64, xs [][]float64) {
-	if h <= 0 {
-		panic("numeric: IntegrateRK4 requires h > 0")
-	}
-	n := len(x0)
-	x := make([]float64, n)
-	copy(x, x0)
-	scratch := make([]float64, 5*n)
-	t := t0
-	snapshot := func() {
-		s := make([]float64, n)
-		copy(s, x)
-		ts = append(ts, t)
-		xs = append(xs, s)
-	}
-	snapshot()
-	for t < t1-1e-15*(t1-t0) {
-		step := h
-		if t+step > t1 {
-			step = t1 - t
-		}
-		RK4Step(f, t, x, step, scratch)
-		t += step
-		snapshot()
-	}
-	return ts, xs
-}
-
 // LinearSystem describes the LTI state-space system
 //
 //	dx/dt = A*x + B*u(t)

@@ -1,112 +1,10 @@
 package numeric
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrNoBracket is returned when the supplied interval does not bracket a
-// sign change of the target function.
-var ErrNoBracket = errors.New("numeric: interval does not bracket a root")
+import "errors"
 
 // ErrNoConverge is returned when an iterative method exhausts its iteration
 // budget without meeting the tolerance.
 var ErrNoConverge = errors.New("numeric: iteration did not converge")
-
-// Bisect finds a root of f in [a, b] (f(a) and f(b) must have opposite
-// signs) to within tolerance tol on x.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if fa*fb > 0 {
-		return 0, ErrNoBracket
-	}
-	for i := 0; i < 200; i++ {
-		m := 0.5 * (a + b)
-		fm := f(m)
-		if fm == 0 || (b-a)/2 < tol {
-			return m, nil
-		}
-		if fa*fm < 0 {
-			b, fb = m, fm
-		} else {
-			a, fa = m, fm
-		}
-	}
-	_ = fb
-	return 0.5 * (a + b), nil
-}
-
-// Brent finds a root of f in the bracketing interval [a, b] using Brent's
-// method (inverse quadratic interpolation with bisection fallback).
-func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if fa*fb > 0 {
-		return 0, ErrNoBracket
-	}
-	if math.Abs(fa) < math.Abs(fb) {
-		a, b = b, a
-		fa, fb = fb, fa
-	}
-	c, fc := a, fa
-	mflag := true
-	var d float64
-	for i := 0; i < 200; i++ {
-		if fb == 0 || math.Abs(b-a) < tol {
-			return b, nil
-		}
-		var s float64
-		//lint:ignore floatcmp exact guard: equal ordinates would divide by zero in the inverse quadratic interpolation
-		if fa != fc && fb != fc {
-			// Inverse quadratic interpolation.
-			s = a*fb*fc/((fa-fb)*(fa-fc)) +
-				b*fa*fc/((fb-fa)*(fb-fc)) +
-				c*fa*fb/((fc-fa)*(fc-fb))
-		} else {
-			// Secant.
-			s = b - fb*(b-a)/(fb-fa)
-		}
-		lo, hi := (3*a+b)/4, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		cond := s < lo || s > hi ||
-			(mflag && math.Abs(s-b) >= math.Abs(b-c)/2) ||
-			(!mflag && math.Abs(s-b) >= math.Abs(c-d)/2) ||
-			(mflag && math.Abs(b-c) < tol) ||
-			(!mflag && math.Abs(c-d) < tol)
-		if cond {
-			s = 0.5 * (a + b)
-			mflag = true
-		} else {
-			mflag = false
-		}
-		fs := f(s)
-		d = c
-		c, fc = b, fb
-		if fa*fs < 0 {
-			b, fb = s, fs
-		} else {
-			a, fa = s, fs
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a, b = b, a
-			fa, fb = fb, fa
-		}
-	}
-	return b, ErrNoConverge
-}
 
 // GoldenSectionMin minimizes a unimodal function f on [a, b] to x-tolerance
 // tol and returns the minimizing x. Used to refine the design optimizer's
@@ -128,9 +26,4 @@ func GoldenSectionMin(f func(float64) float64, a, b, tol float64) float64 {
 		}
 	}
 	return 0.5 * (a + b)
-}
-
-// GoldenSectionMax maximizes a unimodal function on [a, b].
-func GoldenSectionMax(f func(float64) float64, a, b, tol float64) float64 {
-	return GoldenSectionMin(func(x float64) float64 { return -f(x) }, a, b, tol)
 }

@@ -97,7 +97,7 @@ func TestGridDropSteadyStateStart(t *testing.T) {
 	vReg := []float64{1.0, 1.0, 1.0, 1.0}
 	iCore := []float64{10, 10, 14, 12}
 	dt, r, l := 1e-9, 2e-3, 1e-9 // huge L so a spurious k=0 term would be obvious
-	out := gridDrop(vReg, iCore, dt, r, l)
+	out := gridDropInto(nil, vReg, iCore, dt, r, l)
 	want0 := vReg[0] - iCore[0]*r
 	if math.Float64bits(out[0]) != math.Float64bits(want0) {
 		t.Errorf("k=0 sample must be resistive-only: got %v, want %v", out[0], want0)
@@ -106,17 +106,17 @@ func TestGridDropSteadyStateStart(t *testing.T) {
 	if math.Float64bits(out[2]) != math.Float64bits(want2) {
 		t.Errorf("k=2 sample must carry L·di/dt: got %v, want %v", out[2], want2)
 	}
-	// The Into variant reuses dst and matches exactly.
+	// Reusing dst matches a fresh buffer exactly.
 	dst := make([]float64, 0, len(vReg))
 	out2 := gridDropInto(dst, vReg, iCore, dt, r, l)
 	if !sameFloats(out, out2) {
-		t.Error("gridDropInto differs from gridDrop")
+		t.Error("gridDropInto into a reused buffer differs from a fresh one")
 	}
 }
 
 func TestSumTracesInto(t *testing.T) {
 	traces := [][]float64{{1, 2, 3}, {10, 20, 30}, {0.5, 0.5, 0.5}}
-	want := sumTraces(traces)
+	want := []float64{11.5, 22.5, 33.5}
 	got := sumTracesInto(make([]float64, 0, 3), traces)
 	if !sameFloats(want, got) {
 		t.Errorf("sumTracesInto mismatch: %v vs %v", got, want)
@@ -149,51 +149,41 @@ func TestHelpersAllocFree(t *testing.T) {
 	}
 }
 
-// The context/scratch path must reproduce the plain entry points exactly,
-// and results must not alias the recycled scratch.
+// A reused scratch must reproduce a fresh-storage run exactly, and results
+// must not alias the recycled scratch.
 func TestSimulateContextScratchEquivalence(t *testing.T) {
 	s := testSystem(t)
 	d := testDesign(t)
 	cfd, _ := workload.Get("CFD")
 	gemm, _ := workload.Get("GEMM")
 	T, dt := 10e-6, 1e-9
-
-	ref, err := s.SimulateOffChipVRM(cfd, T, dt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
 	scr := &Scratch{}
 	opt := SimOptions{KeepTrace: true, Scratch: scr}
-	got, err := s.SimulateOffChipVRMContext(context.Background(), cfd, T, dt, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameFloats(ref.Times, got.Times) || !sameFloats(ref.VCore, got.VCore) {
-		t.Fatal("off-chip: scratch path diverges from the plain path")
-	}
-	if !reflect.DeepEqual(ref.VStats, got.VStats) {
-		t.Fatalf("off-chip: stats diverge: %+v vs %+v", got.VStats, ref.VStats)
-	}
-
-	refIVR, err := s.SimulateIVR(d, 4, cfd, T, dt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotIVR, err := s.SimulateIVRContext(context.Background(), d, 4, cfd, T, dt, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameFloats(refIVR.Times, gotIVR.Times) || !sameFloats(refIVR.VCore, gotIVR.VCore) {
-		t.Fatal("IVR: scratch path diverges from the plain path")
-	}
-	if !reflect.DeepEqual(refIVR.VStats, gotIVR.VStats) {
-		t.Fatal("IVR: stats diverge")
+	var got *NoiseResult
+	for _, reg := range []Regulator{
+		{Rail: Rail{Kind: OffChipVRM}},
+		{Rail: Rail{Kind: DistributedIVR, N: 4}, SC: d},
+	} {
+		ref, err := s.Simulate(ctx, reg, cfd, T, dt, keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err = s.Simulate(ctx, reg, cfd, T, dt, opt); err != nil {
+			t.Fatal(err)
+		}
+		if !sameFloats(ref.Times, got.Times) || !sameFloats(ref.VCore, got.VCore) {
+			t.Fatalf("%s: scratch path diverges from fresh storage", reg.Rail)
+		}
+		if !reflect.DeepEqual(ref.VStats, got.VStats) {
+			t.Fatalf("%s: stats diverge: %+v vs %+v", reg.Rail, got.VStats, ref.VStats)
+		}
 	}
 
 	// Reusing the same scratch for a different benchmark must not disturb the
 	// earlier result (results own their storage; scratch is only workspace).
 	before := append([]float64(nil), got.VCore...)
-	if _, err := s.SimulateOffChipVRMContext(context.Background(), gemm, T, dt, opt); err != nil {
+	if _, err := s.Simulate(ctx, Regulator{Rail: Rail{Kind: OffChipVRM}}, gemm, T, dt, opt); err != nil {
 		t.Fatal(err)
 	}
 	if !sameFloats(before, got.VCore) {
@@ -205,7 +195,8 @@ func TestSimulateContextScratchEquivalence(t *testing.T) {
 func TestSimulateDropsTraceWhenNotKept(t *testing.T) {
 	s := testSystem(t)
 	bench, _ := workload.Get("CFD")
-	res, err := s.SimulateOffChipVRMContext(context.Background(), bench, 10e-6, 1e-9, SimOptions{})
+	vrm := Regulator{Rail: Rail{Kind: OffChipVRM}}
+	res, err := s.Simulate(context.Background(), vrm, bench, 10e-6, 1e-9, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,12 +206,8 @@ func TestSimulateDropsTraceWhenNotKept(t *testing.T) {
 	if res.VStats.N == 0 || res.NoiseVpp <= 0 {
 		t.Error("statistics must survive without the trace")
 	}
-	st := res.Stats()
-	if st.N != res.VStats.N {
-		t.Error("Stats() must serve the precomputed summary")
-	}
 	// And the summary must equal the kept-trace run's.
-	kept, err := s.SimulateOffChipVRMContext(context.Background(), bench, 10e-6, 1e-9, SimOptions{KeepTrace: true})
+	kept, err := s.Simulate(context.Background(), vrm, bench, 10e-6, 1e-9, keep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,15 +223,16 @@ func TestSimulateCancellationMidCell(t *testing.T) {
 	s := testSystem(t)
 	d := testDesign(t)
 	bench, _ := workload.Get("CFD")
-	ctx := &cancelAfterCtx{Context: context.Background(), after: 2}
-	if _, err := s.SimulateOffChipVRMContext(ctx, bench, 20e-6, 1e-9, SimOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("off-chip simulation must stop with context.Canceled, got %v", err)
-	}
-	if ctx.calls < 2 {
-		t.Fatalf("cancellation was never polled mid-run (%d polls)", ctx.calls)
-	}
-	ctx = &cancelAfterCtx{Context: context.Background(), after: 2}
-	if _, err := s.SimulateIVRContext(ctx, d, 4, bench, 20e-6, 1e-9, SimOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("IVR simulation must stop with context.Canceled, got %v", err)
+	for _, reg := range []Regulator{
+		{Rail: Rail{Kind: OffChipVRM}},
+		{Rail: Rail{Kind: DistributedIVR, N: 4}, SC: d},
+	} {
+		ctx := &cancelAfterCtx{Context: context.Background(), after: 2}
+		if _, err := s.Simulate(ctx, reg, bench, 20e-6, 1e-9, SimOptions{}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s simulation must stop with context.Canceled, got %v", reg.Rail, err)
+		}
+		if ctx.calls < 2 {
+			t.Fatalf("%s: cancellation was never polled mid-run (%d polls)", reg.Rail, ctx.calls)
+		}
 	}
 }

@@ -4,7 +4,8 @@
 // per configuration (Figs. 10-11), guardband extraction, and the final
 // source-to-core power breakdown and delivery efficiency (Fig. 13).
 //
-// Configurations compared:
+// The configuration is a Rail, and it is the only variable: one
+// System.Simulate and one System.Breakdown serve every rail.
 //
 //   - Off-chip VRM: conversion at the board, the full PDN carries the core
 //     current at core voltage — large IR drop and the package-resonance
@@ -14,18 +15,23 @@
 //     distributing N IVRs shrinks the residual on-chip grid impedance per
 //     core by ~1/N — the mechanism behind the paper's finding that four
 //     distributed IVRs minimize noise.
+//   - Digital LDO: a centralized on-chip linear regulator fed from a board
+//     rail just above core voltage — IVR-like regulation, off-chip-like
+//     PDN current.
 package pds
 
 import (
 	"context"
 	"fmt"
 
+	"ivory/internal/buck"
 	"ivory/internal/dynamic"
 	"ivory/internal/grid"
 	"ivory/internal/ldo"
 	"ivory/internal/numeric"
 	"ivory/internal/pdn"
 	"ivory/internal/sc"
+	"ivory/internal/tech"
 	"ivory/internal/workload"
 )
 
@@ -119,12 +125,8 @@ func (s *System) coreCurrents(src workload.Source, dt float64, n int, v float64)
 	return out
 }
 
-func sumTraces(traces [][]float64) []float64 {
-	return sumTracesInto(nil, traces)
-}
-
 // sumTracesInto sums traces sample-wise into dst (grown when too small; may
-// be nil). An empty trace set returns nil, matching sumTraces.
+// be nil). An empty trace set returns nil.
 func sumTracesInto(dst []float64, traces [][]float64) []float64 {
 	if len(traces) == 0 {
 		return nil
@@ -145,13 +147,8 @@ func sumTracesInto(dst []float64, traces [][]float64) []float64 {
 	return out
 }
 
-// gridDrop subtracts the local grid IR + L·di/dt drop of the first core's
-// current from the regulated node voltage.
-func gridDrop(vReg, iCore []float64, dt, r, l float64) []float64 {
-	return gridDropInto(nil, vReg, iCore, dt, r, l)
-}
-
-// gridDropInto is gridDrop with buffer reuse (dst may be nil).
+// gridDropInto subtracts the local grid IR + L·di/dt drop of the first
+// core's current from the regulated node voltage, into dst (may be nil).
 //
 // The k=0 sample intentionally carries no inductive term: both transient
 // models enter the trace in steady state at the initial load (pdn.Transient
@@ -228,129 +225,198 @@ func (r *NoiseResult) summarize(scr *Scratch, times, vCore []float64, vNom float
 	scr.stats = grow(scr.stats, len(vCore))
 	copy(scr.stats, vCore)
 	r.VStats = numeric.SummarizeInPlace(scr.stats)
-	r.finishStats(vNom)
+	if r.VStats.N > 0 {
+		r.NoiseVpp = r.VStats.Max - r.VStats.Min
+		r.WorstDroop = vNom - r.VStats.Min
+	}
 	if keepTrace {
 		r.Times = append([]float64(nil), times...)
 		r.VCore = append([]float64(nil), vCore...)
 	}
 }
 
-// SimulateOffChipVRM produces the core voltage trace for the conventional
-// configuration: regulation at the board, the PDN carrying the summed core
-// current at core voltage. The VRM output is assumed ripple-free (paper
-// §2.2), so all noise comes from PDN impedance. src is any workload.Source
-// — a single Benchmark or a PhaseSchedule.
-func (s *System) SimulateOffChipVRM(src workload.Source, T, dt float64) (*NoiseResult, error) {
-	return s.SimulateOffChipVRMContext(context.Background(), src, T, dt, SimOptions{KeepTrace: true})
-}
-
-// SimulateOffChipVRMContext is SimulateOffChipVRM with cancellation (polled
-// inside the transient integration, so a cancelled run stops mid-cell) and
-// engine options. Returned Times/VCore are freshly allocated, never aliased
-// to opt.Scratch, so results outlive the scratch they were built with.
-func (s *System) SimulateOffChipVRMContext(ctx context.Context, src workload.Source, T, dt float64, opt SimOptions) (*NoiseResult, error) {
+// Simulate produces the worst core's supply-voltage trace for one rail
+// running src (a workload.Benchmark or a PhaseSchedule) for T seconds at
+// step dt. Every rail shares the load synthesis, the local grid drop and
+// the statistics; the rail picks only the regulated node:
+//
+//   - OffChipVRM: regulation at the board, the PDN carrying the summed core
+//     current at core voltage. The VRM output is assumed ripple-free (paper
+//     §2.2), so all noise comes from PDN impedance.
+//   - CentralizedIVR / DistributedIVR: reg.SC, the chip-level converter, is
+//     split evenly across the N instances, each serving Cores/N cores and
+//     clocked for its peak load. The first IVR is simulated.
+//   - DigitalLDO: reg.LDO regulates all cores from a board-supplied input
+//     rail at its VIn, assumed stiff (the same idealization the IVR path
+//     applies to its 3.3 V feed), with the proportional controller the
+//     paper-cited digital LDOs implement.
+//
+// The worst (first) core sits behind its regulation point's share of the
+// on-chip grid: GridR/N, GridL/N for N distributed IVRs, the full span for
+// every centralized style.
+//
+// Cancellation is polled inside the PDN and SC integration loops, so a
+// cancelled run stops mid-cell; the LDO simulator is not cancellable, so
+// its rail polls before and after the run. Returned Times/VCore are freshly
+// allocated, never aliased to opt.Scratch, so results outlive the scratch
+// they were built with.
+func (s *System) Simulate(ctx context.Context, reg Regulator, src workload.Source, T, dt float64, opt SimOptions) (*NoiseResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	n := int(T / dt)
-	if n < 16 {
-		return nil, fmt.Errorf("pds: trace too short (%d samples)", n)
-	}
-	scr := opt.scratch()
-	cores := s.coreCurrentsCached(src, dt, n, s.VNominal)
-	if err := checkTraces(src, cores, n); err != nil {
+	if err := s.checkRegulator(reg); err != nil {
 		return nil, err
-	}
-	scr.total = sumTracesInto(scr.total, cores)
-	load := dynamic.Sampled(scr.total, dt)
-	ts, vs, err := s.Network.TransientContext(ctx, s.VNominal, func(t float64) float64 { return load(t) }, dt, T, scr.ts, scr.vs)
-	if err != nil {
-		return nil, err
-	}
-	scr.ts, scr.vs = ts, vs
-	// Clip to n samples for uniformity.
-	if len(vs) > n {
-		ts, vs = ts[:n], vs[:n]
-	}
-	// Without on-chip regulation the full grid span from the C4 region to
-	// the core applies (the same span a centralized IVR would see).
-	scr.vCore = gridDropInto(scr.vCore, vs, cores[0][:len(vs)], dt, s.GridR, s.GridL)
-	res := &NoiseResult{
-		Config:    "off-chip VRM",
-		Benchmark: src.TraceName(),
-	}
-	res.summarize(scr, ts, scr.vCore, s.VNominal, opt.KeepTrace)
-	return res, nil
-}
-
-// SimulateIVR produces the core voltage trace for an n-IVR configuration.
-// base is the total on-chip converter design (sized for the whole chip);
-// it is split evenly across the n IVR instances, each serving Cores/n
-// cores. The worst (first) core of the first IVR is traced: regulated IVR
-// output minus its local grid drop of GridR/n, GridL/n.
-func (s *System) SimulateIVR(base *sc.Design, nIVR int, src workload.Source, T, dt float64) (*NoiseResult, error) {
-	return s.SimulateIVRContext(context.Background(), base, nIVR, src, T, dt, SimOptions{KeepTrace: true})
-}
-
-// SimulateIVRContext is SimulateIVR with cancellation (polled inside the SC
-// simulator loop, so a cancelled run stops mid-cell) and engine options.
-// Returned Times/VCore are freshly allocated, never aliased to opt.Scratch.
-func (s *System) SimulateIVRContext(ctx context.Context, base *sc.Design, nIVR int, src workload.Source, T, dt float64, opt SimOptions) (*NoiseResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if nIVR < 1 || nIVR > s.Cores {
-		return nil, fmt.Errorf("pds: IVR count %d outside [1, %d]", nIVR, s.Cores)
-	}
-	if s.Cores%nIVR != 0 {
-		return nil, fmt.Errorf("pds: %d IVRs cannot evenly serve %d cores", nIVR, s.Cores)
 	}
 	steps := int(T / dt)
 	if steps < 16 {
 		return nil, fmt.Errorf("pds: trace too short (%d samples)", steps)
 	}
-	// Split the total converter across instances.
-	cfg := base.Config()
-	cfg.CTotal /= float64(nIVR)
-	cfg.GTotal /= float64(nIVR)
-	cfg.CDecap /= float64(nIVR)
-	if cfg.Interleave >= nIVR {
-		cfg.Interleave /= nIVR
-	}
-	inst, err := sc.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("pds: per-IVR design: %w", err)
-	}
-	coresPerIVR := s.Cores / nIVR
 	scr := opt.scratch()
 	all := s.coreCurrentsCached(src, dt, steps, s.VNominal)
 	if err := checkTraces(src, all, steps); err != nil {
 		return nil, err
 	}
-	scr.total = sumTracesInto(scr.total, all[:coresPerIVR])
-	ivrLoad := scr.total
+	n := reg.Rail.ivrs()
+	var times, vReg []float64
+	var err error
+	switch reg.Rail.Kind {
+	case OffChipVRM:
+		times, vReg, err = s.pdnNode(ctx, scr, all, T, dt, steps)
+	case CentralizedIVR, DistributedIVR:
+		times, vReg, err = s.ivrNode(ctx, scr, reg.SC, n, all[:s.Cores/n], T, dt, steps)
+	case DigitalLDO:
+		times, vReg, err = s.ldoNode(ctx, scr, reg.LDO, all, T, dt, steps)
+	}
+	if err != nil {
+		return nil, err
+	}
+	scr.vCore = gridDropInto(scr.vCore, vReg, all[0][:len(vReg)], dt, s.GridR/float64(n), s.GridL/float64(n))
+	res := &NoiseResult{
+		Config:    reg.Rail.Label(),
+		Benchmark: src.TraceName(),
+	}
+	res.summarize(scr, times, scr.vCore, s.VNominal, opt.KeepTrace)
+	return res, nil
+}
+
+// checkRegulator validates the rail and that it carries the design it
+// needs and can serve the system's cores.
+func (s *System) checkRegulator(reg Regulator) error {
+	r := reg.Rail
+	if err := r.Validate(); err != nil {
+		return err
+	}
+	switch r.Kind {
+	case CentralizedIVR, DistributedIVR:
+		n := r.ivrs()
+		if n > s.Cores {
+			return fmt.Errorf("pds: IVR count %d outside [1, %d]", n, s.Cores)
+		}
+		if s.Cores%n != 0 {
+			return fmt.Errorf("pds: %d IVRs cannot evenly serve %d cores", n, s.Cores)
+		}
+		if reg.SC == nil {
+			return fmt.Errorf("pds: nil SC design")
+		}
+	case DigitalLDO:
+		if reg.LDO == nil {
+			return fmt.Errorf("pds: nil LDO design")
+		}
+	}
+	return nil
+}
+
+// pdnNode integrates the off-chip PDN under the summed load of all cores.
+func (s *System) pdnNode(ctx context.Context, scr *Scratch, cores [][]float64, T, dt float64, steps int) (times, vReg []float64, err error) {
+	scr.total = sumTracesInto(scr.total, cores)
+	load := dynamic.Sampled(scr.total, dt)
+	ts, vs, err := s.Network.TransientContext(ctx, s.VNominal, func(t float64) float64 { return load(t) }, dt, T, scr.ts, scr.vs)
+	if err != nil {
+		return nil, nil, err
+	}
+	scr.ts, scr.vs = ts, vs
+	// Clip to steps samples for uniformity.
+	if len(vs) > steps {
+		ts, vs = ts[:steps], vs[:steps]
+	}
+	return ts, vs, nil
+}
+
+// ivrNode simulates one of n IVR instances, each a 1/n slice of the
+// chip-level converter base, under the summed load of the cores it serves.
+func (s *System) ivrNode(ctx context.Context, scr *Scratch, base *sc.Design, n int, served [][]float64, T, dt float64, steps int) (times, vReg []float64, err error) {
+	cfg := base.Config()
+	cfg.CTotal /= float64(n)
+	cfg.GTotal /= float64(n)
+	cfg.CDecap /= float64(n)
+	if cfg.Interleave >= n {
+		cfg.Interleave /= n
+	}
+	inst, err := sc.New(cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("pds: per-IVR design: %w", err)
+	}
+	scr.total = sumTracesInto(scr.total, served)
 	// Clock the hysteretic loop for the per-IVR worst-case load.
-	_, iPk := numeric.MinMax(ivrLoad)
+	_, iPk := numeric.MinMax(scr.total)
 	params, err := dynamic.SCFromDesignAtLoad(inst, iPk*1.2)
 	if err != nil {
-		return nil, fmt.Errorf("pds: IVR cannot sustain the peak load: %w", err)
+		return nil, nil, fmt.Errorf("pds: IVR cannot sustain the peak load: %w", err)
 	}
 	sim := &dynamic.SCSimulator{P: params}
-	// The in-cycle step must resolve the interleaved pump ticks; refine
-	// below the requested dt if needed and decimate afterwards.
+	// The step must resolve the interleaved pump ticks.
 	nSlices := params.Interleave
 	if nSlices == 0 {
 		nSlices = 1
 	}
 	tick := 1 / (params.FClk * float64(nSlices))
+	err = scr.refineAndDecimate(dt, tick, steps, func(dtSim float64) (*dynamic.Trace, error) {
+		return sim.RunInto(ctx, &scr.tr, dynamic.Sampled(scr.total, dt), dynamic.Constant(s.VNominal), T, dtSim)
+	})
+	return scr.times, scr.vReg, err
+}
+
+// ldoNode simulates the centralized digital LDO under the summed load of
+// all cores.
+func (s *System) ldoNode(ctx context.Context, scr *Scratch, des *ldo.Design, cores [][]float64, T, dt float64, steps int) (times, vReg []float64, err error) {
+	scr.total = sumTracesInto(scr.total, cores)
+	_, iPk := numeric.MinMax(scr.total)
+	if iPk > des.MaxCurrent() {
+		return nil, nil, fmt.Errorf("pds: LDO cannot sustain the peak load: %.3g A exceeds the %.3g A dropout limit",
+			iPk, des.MaxCurrent())
+	}
+	params := dynamic.LDOFromDesign(des)
+	// Proportional multi-segment updates: the controller class the
+	// paper-cited digital LDOs implement, and the one that can track
+	// benchmark-scale load steps within a sampling period.
+	params.Proportional = true
+	sim := &dynamic.LDOSimulator{P: params}
+	// The step must resolve the controller sampling period.
+	err = scr.refineAndDecimate(dt, 1/params.FSample, steps, func(dtSim float64) (*dynamic.Trace, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		tr, err := sim.Run(dynamic.Sampled(scr.total, dt), dynamic.Constant(s.VNominal), T, dtSim)
+		if err != nil {
+			return nil, err
+		}
+		return tr, ctx.Err()
+	})
+	return scr.times, scr.vReg, err
+}
+
+// refineAndDecimate runs a regulator model at dt/k, the coarsest integer
+// refinement of dt that resolves its control tick, then keeps every k-th
+// sample in scr.times/scr.vReg so the regulated node lines up with the
+// load samples.
+func (scr *Scratch) refineAndDecimate(dt, tick float64, steps int, run func(dtSim float64) (*dynamic.Trace, error)) error {
 	factor := 1
 	for dt/float64(factor) > tick {
 		factor++
 	}
-	dtSim := dt / float64(factor)
-	tr, err := sim.RunInto(ctx, &scr.tr, dynamic.Sampled(ivrLoad, dt), dynamic.Constant(s.VNominal), T, dtSim)
+	tr, err := run(dt / float64(factor))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	scr.vReg = grow(scr.vReg, steps)
 	scr.times = grow(scr.times, steps)
@@ -358,18 +424,7 @@ func (s *System) SimulateIVRContext(ctx context.Context, base *sc.Design, nIVR i
 		scr.vReg[k] = tr.V[k*factor]
 		scr.times[k] = tr.Times[k*factor]
 	}
-	// Local grid segment shrinks with distribution.
-	scr.vCore = gridDropInto(scr.vCore, scr.vReg, all[0][:steps], dt, s.GridR/float64(nIVR), s.GridL/float64(nIVR))
-	name := fmt.Sprintf("%d distributed IVRs", nIVR)
-	if nIVR == 1 {
-		name = "centralized IVR"
-	}
-	res := &NoiseResult{
-		Config:    name,
-		Benchmark: src.TraceName(),
-	}
-	res.summarize(scr, scr.times, scr.vCore, s.VNominal, opt.KeepTrace)
-	return res, nil
+	return nil
 }
 
 // checkTraces rejects a workload source that produced no (or truncated)
@@ -384,104 +439,6 @@ func checkTraces(src workload.Source, traces [][]float64, n int) error {
 	return nil
 }
 
-// SimulateDigitalLDO produces the core voltage trace for a centralized
-// digital-LDO configuration; see SimulateDigitalLDOContext.
-func (s *System) SimulateDigitalLDO(des *ldo.Design, src workload.Source, T, dt float64) (*NoiseResult, error) {
-	return s.SimulateDigitalLDOContext(context.Background(), des, src, T, dt, SimOptions{KeepTrace: true})
-}
-
-// SimulateDigitalLDOContext runs the fourth delivery style: a centralized
-// on-chip digital LDO regulating the cores from a board-supplied input
-// rail at des.Config().VIn (the board VRM produces VNominal plus the LDO
-// headroom; the input rail is assumed stiff, the same idealization the IVR
-// path applies to its 3.3 V feed). The clocked bang-bang/proportional loop
-// is simulated by dynamic.LDOSimulator at a step refined to resolve the
-// controller sampling period, then decimated back to dt — mirroring the
-// SC path's interleave-tick refinement. The worst (first) core sits behind
-// the full-span grid segment, as with any centralized regulation point.
-//
-// Cancellation is polled before and after the dynamic run (the LDO
-// simulator itself is not cancellable), so a cancelled sweep stops between
-// cells rather than mid-integration.
-func (s *System) SimulateDigitalLDOContext(ctx context.Context, des *ldo.Design, src workload.Source, T, dt float64, opt SimOptions) (*NoiseResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if des == nil {
-		return nil, fmt.Errorf("pds: nil LDO design")
-	}
-	steps := int(T / dt)
-	if steps < 16 {
-		return nil, fmt.Errorf("pds: trace too short (%d samples)", steps)
-	}
-	scr := opt.scratch()
-	all := s.coreCurrentsCached(src, dt, steps, s.VNominal)
-	if err := checkTraces(src, all, steps); err != nil {
-		return nil, err
-	}
-	scr.total = sumTracesInto(scr.total, all)
-	_, iPk := numeric.MinMax(scr.total)
-	if iPk > des.MaxCurrent() {
-		return nil, fmt.Errorf("pds: LDO cannot sustain the peak load: %.3g A exceeds the %.3g A dropout limit",
-			iPk, des.MaxCurrent())
-	}
-	params := dynamic.LDOFromDesign(des)
-	// Proportional multi-segment updates: the controller class the
-	// paper-cited digital LDOs implement, and the one that can track
-	// benchmark-scale load steps within a sampling period.
-	params.Proportional = true
-	sim := &dynamic.LDOSimulator{P: params}
-	// The dynamic model requires the step to resolve the controller
-	// sampling period; refine below the requested dt and decimate after.
-	tick := 1 / params.FSample
-	factor := 1
-	for dt/float64(factor) > tick {
-		factor++
-	}
-	dtSim := dt / float64(factor)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	tr, err := sim.Run(dynamic.Sampled(scr.total, dt), dynamic.Constant(s.VNominal), T, dtSim)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	scr.vReg = grow(scr.vReg, steps)
-	scr.times = grow(scr.times, steps)
-	for k := 0; k < steps; k++ {
-		scr.vReg[k] = tr.V[k*factor]
-		scr.times[k] = tr.Times[k*factor]
-	}
-	scr.vCore = gridDropInto(scr.vCore, scr.vReg, all[0][:steps], dt, s.GridR, s.GridL)
-	res := &NoiseResult{
-		Config:    "digital LDO",
-		Benchmark: src.TraceName(),
-	}
-	res.summarize(scr, scr.times, scr.vCore, s.VNominal, opt.KeepTrace)
-	return res, nil
-}
-
-func (r *NoiseResult) finishStats(vNom float64) {
-	if r.VStats.N == 0 {
-		return
-	}
-	r.NoiseVpp = r.VStats.Max - r.VStats.Min
-	r.WorstDroop = vNom - r.VStats.Min
-}
-
-// Stats returns the distribution summary of the core voltage (box-plot
-// inputs for Fig. 10). It is computed during the simulation, so it remains
-// available when the trace itself was dropped (SimOptions.KeepTrace false).
-func (r *NoiseResult) Stats() numeric.Summary {
-	if r.VStats.N > 0 {
-		return r.VStats
-	}
-	return numeric.Summarize(r.VCore)
-}
-
 // Breakdown itemizes source-to-core power for one configuration (Fig. 13).
 type Breakdown struct {
 	// Config names the configuration.
@@ -493,7 +450,8 @@ type Breakdown struct {
 	PMargin float64
 	// PGridIR is on-chip grid conduction loss (W).
 	PGridIR float64
-	// PIVRLoss is the IVR conversion loss (W); zero for the off-chip case.
+	// PIVRLoss is the on-chip regulator's (IVR or LDO) conversion loss
+	// (W); zero for the off-chip case.
 	PIVRLoss float64
 	// PPDNIR is the off-chip board+package conduction loss (W).
 	PPDNIR float64
@@ -506,124 +464,146 @@ type Breakdown struct {
 	Efficiency float64
 }
 
-// BreakdownParams supplies the conversion efficiencies measured elsewhere.
+// BreakdownParams supplies what the power ladder needs beyond the rail:
+// the guardband and the on-chip regulator's measured efficiency.
 type BreakdownParams struct {
 	// Margin is the voltage guardband (V) from the noise analysis.
 	Margin float64
-	// IVREfficiency is the IVR conversion efficiency at the operating
-	// point (0 for the off-chip configuration).
-	IVREfficiency float64
-	// VRMEfficiency is the off-chip VRM efficiency for the voltage it
-	// must produce in this configuration.
-	VRMEfficiency float64
-	// NumIVRs is the distribution count (0 = off-chip configuration).
-	NumIVRs int
-	// Config labels the result.
-	Config string
+	// RegulatorEfficiency is the on-chip regulator's (IVR or LDO)
+	// conversion efficiency at the operating point; ignored for the
+	// off-chip VRM.
+	RegulatorEfficiency float64
+	// LDOHeadroomV is the digital LDO's input headroom above the operating
+	// voltage (V); used only by the DigitalLDO rail.
+	LDOHeadroomV float64
 }
 
-// PowerBreakdown computes the steady-state power ladder for one
-// configuration at full activity.
-func (s *System) PowerBreakdown(p BreakdownParams) (Breakdown, error) {
+// ivrFeedEfficiency is the board-side efficiency of an IVR rail: the 3.3 V
+// board supply reaches the IVRs through the PDN with only light
+// conditioning.
+const ivrFeedEfficiency = 0.97
+
+// Breakdown computes the steady-state power ladder of one rail at full
+// activity, from the cores back to the board source. The cores run at
+// VNominal + Margin, so dynamic power rises with V² at fixed frequency (the
+// load model's leakage, which scales faster, is folded into the same
+// factor), and each core sits behind its regulation point's share of the
+// grid, as in Simulate. The rail then sets the rest of the ladder:
+//
+//   - OffChipVRM: the board VRM (BoardVRMEfficiency) converts the source
+//     to the operating voltage and the PDN carries the core current at it.
+//   - CentralizedIVR / DistributedIVR: the PDN carries the IVR input
+//     current at VSource, fed by a light-conditioning board stage.
+//   - DigitalLDO: the board VRM produces the LDO input rail at the
+//     operating voltage plus LDOHeadroomV, and the PDN carries the chip
+//     current at that rail — barely above core voltage, so the conduction
+//     loss stays off-chip-VRM-like, the structural handicap of LDO rails.
+func (s *System) Breakdown(r Rail, p BreakdownParams) (Breakdown, error) {
 	if err := s.Validate(); err != nil {
+		return Breakdown{}, err
+	}
+	if err := r.Validate(); err != nil {
 		return Breakdown{}, err
 	}
 	if p.Margin < 0 {
 		return Breakdown{}, fmt.Errorf("pds: negative margin")
 	}
-	if p.VRMEfficiency <= 0 || p.VRMEfficiency > 1 {
-		return Breakdown{}, fmt.Errorf("pds: VRM efficiency %g outside (0, 1]", p.VRMEfficiency)
+	switch r.Kind {
+	case CentralizedIVR, DistributedIVR:
+		if p.RegulatorEfficiency <= 0 || p.RegulatorEfficiency > 1 {
+			return Breakdown{}, fmt.Errorf("pds: IVR efficiency %g outside (0, 1]", p.RegulatorEfficiency)
+		}
+	case DigitalLDO:
+		if p.LDOHeadroomV <= 0 {
+			return Breakdown{}, fmt.Errorf("pds: LDO headroom %g must be positive", p.LDOHeadroomV)
+		}
+		if p.RegulatorEfficiency <= 0 || p.RegulatorEfficiency > 1 {
+			return Breakdown{}, fmt.Errorf("pds: LDO efficiency %g outside (0, 1]", p.RegulatorEfficiency)
+		}
 	}
-	if p.NumIVRs > 0 && (p.IVREfficiency <= 0 || p.IVREfficiency > 1) {
-		return Breakdown{}, fmt.Errorf("pds: IVR efficiency %g outside (0, 1]", p.IVREfficiency)
-	}
-	b := Breakdown{Config: p.Config}
+	b := Breakdown{Config: r.Label()}
 	pCore := s.TDPPerCore * float64(s.Cores)
 	b.PCoreUseful = pCore
 	vOp := s.VNominal + p.Margin
-	// Dynamic power scales with V² at fixed frequency; the load model's
-	// leakage fraction scales faster but we fold it into the same factor.
 	scale := vOp * vOp / (s.VNominal * s.VNominal)
 	pCoreActual := pCore * scale
 	b.PMargin = pCoreActual - pCore
 
+	iCore := pCoreActual / float64(s.Cores) / vOp
+	b.PGridIR = float64(s.Cores) * iCore * iCore * (s.GridR / float64(r.ivrs()))
 	rPDN := s.Network.TotalR()
-	if p.NumIVRs == 0 {
-		// Board VRM converts source to vOp; PDN carries core current, and
-		// each core still sits behind the full-span on-chip grid segment.
-		iCore := pCoreActual / float64(s.Cores) / vOp
-		b.PGridIR = float64(s.Cores) * iCore * iCore * s.GridR
+	var vrmOut, vrmEff float64
+	var err error
+	if r.Kind == OffChipVRM {
+		// The PDN carries the core current at the operating voltage. The
+		// grid loss stays out of that current: the pinned Fig. 13 and
+		// hybrid results are computed this way.
 		iPDN := pCoreActual / vOp
 		b.PPDNIR = iPDN * iPDN * rPDN
-		vrmOut := pCoreActual + b.PGridIR + b.PPDNIR
-		b.PVRMLoss = vrmOut * (1 - p.VRMEfficiency) / p.VRMEfficiency
-		b.PSource = vrmOut + b.PVRMLoss
+		vrmOut = pCoreActual + b.PGridIR + b.PPDNIR
+		vrmEff, err = BoardVRMEfficiency(s.VSource, vOp, pCore)
 	} else {
-		// Per-core current through its local grid share.
-		iCore := pCoreActual / float64(s.Cores) / vOp
-		rGrid := s.GridR / float64(p.NumIVRs)
-		b.PGridIR = float64(s.Cores) * iCore * iCore * rGrid
-		ivrOut := pCoreActual + b.PGridIR
-		b.PIVRLoss = ivrOut * (1 - p.IVREfficiency) / p.IVREfficiency
-		ivrIn := ivrOut + b.PIVRLoss
-		iPDN := ivrIn / s.VSource
+		regOut := pCoreActual + b.PGridIR
+		eff := p.RegulatorEfficiency
+		b.PIVRLoss = regOut * (1 - eff) / eff
+		regIn := regOut + b.PIVRLoss
+		vIn := s.VSource
+		vrmEff = ivrFeedEfficiency
+		if r.Kind == DigitalLDO {
+			vIn = vOp + p.LDOHeadroomV
+			vrmEff, err = BoardVRMEfficiency(s.VSource, vIn, pCore)
+		}
+		iPDN := regIn / vIn
 		b.PPDNIR = iPDN * iPDN * rPDN
-		vrmOut := ivrIn + b.PPDNIR
-		b.PVRMLoss = vrmOut * (1 - p.VRMEfficiency) / p.VRMEfficiency
-		b.PSource = vrmOut + b.PVRMLoss
+		vrmOut = regIn + b.PPDNIR
 	}
-	b.Efficiency = b.PCoreUseful / b.PSource
-	return b, nil
-}
-
-// PowerBreakdownLDO computes the power ladder for a centralized
-// digital-LDO configuration: the board VRM converts the source down to the
-// LDO input rail at vOp + headroomV, the PDN carries the chip current at
-// that rail, and the LDO's dissipative conversion (pass-device dropout,
-// quiescent and controller power — the efficiency ldo.Design.Evaluate
-// measures) takes the place of the IVR loss. p.IVREfficiency carries the
-// LDO efficiency; p.NumIVRs is ignored (the regulation point is
-// centralized, so the full grid span applies).
-func (s *System) PowerBreakdownLDO(p BreakdownParams, headroomV float64) (Breakdown, error) {
-	if err := s.Validate(); err != nil {
+	if err != nil {
 		return Breakdown{}, err
 	}
-	if p.Margin < 0 {
-		return Breakdown{}, fmt.Errorf("pds: negative margin")
-	}
-	if headroomV <= 0 {
-		return Breakdown{}, fmt.Errorf("pds: LDO headroom %g must be positive", headroomV)
-	}
-	if p.VRMEfficiency <= 0 || p.VRMEfficiency > 1 {
-		return Breakdown{}, fmt.Errorf("pds: VRM efficiency %g outside (0, 1]", p.VRMEfficiency)
-	}
-	if p.IVREfficiency <= 0 || p.IVREfficiency > 1 {
-		return Breakdown{}, fmt.Errorf("pds: LDO efficiency %g outside (0, 1]", p.IVREfficiency)
-	}
-	b := Breakdown{Config: p.Config}
-	pCore := s.TDPPerCore * float64(s.Cores)
-	b.PCoreUseful = pCore
-	vOp := s.VNominal + p.Margin
-	scale := vOp * vOp / (s.VNominal * s.VNominal)
-	pCoreActual := pCore * scale
-	b.PMargin = pCoreActual - pCore
-
-	// Centralized regulation: every core behind the full-span grid segment.
-	iCore := pCoreActual / float64(s.Cores) / vOp
-	b.PGridIR = float64(s.Cores) * iCore * iCore * s.GridR
-	ldoOut := pCoreActual + b.PGridIR
-	b.PIVRLoss = ldoOut * (1 - p.IVREfficiency) / p.IVREfficiency
-	ldoIn := ldoOut + b.PIVRLoss
-	// The PDN carries the chip current at the LDO input rail — barely above
-	// core voltage, so unlike the 3.3 V IVR feed the conduction loss stays
-	// off-chip-VRM-like. This is the structural handicap of hybrid LDO
-	// rails the sweep quantifies.
-	vIn := vOp + headroomV
-	iPDN := ldoIn / vIn
-	b.PPDNIR = iPDN * iPDN * s.Network.TotalR()
-	vrmOut := ldoIn + b.PPDNIR
-	b.PVRMLoss = vrmOut * (1 - p.VRMEfficiency) / p.VRMEfficiency
+	b.PVRMLoss = vrmOut * (1 - vrmEff) / vrmEff
 	b.PSource = vrmOut + b.PVRMLoss
 	b.Efficiency = b.PCoreUseful / b.PSource
 	return b, nil
+}
+
+// BoardVRMEfficiency evaluates the off-chip VRM — a surface-mount buck at
+// low frequency, built from the same buck model as the on-chip designs (the
+// paper's commensurate-modeling principle) — producing vOut at power pOut
+// from the board rail vIn.
+func BoardVRMEfficiency(vIn, vOut, pOut float64) (float64, error) {
+	iLoad := pOut / vOut
+	cfg := buck.Config{
+		Node:       tech.MustLookup("130nm"), // board-class silicon
+		Inductor:   tech.SurfaceMount,
+		OutCap:     tech.MIMCap,
+		VIn:        vIn,
+		VOut:       vOut,
+		L:          300e-9,
+		COut:       20e-6,
+		FSw:        2e6,
+		GHigh:      50,
+		GLow:       80,
+		Interleave: 4,
+	}
+	d, err := buck.New(cfg)
+	if err != nil {
+		return 0, err
+	}
+	d, err = d.OptimizeConductances(iLoad)
+	if err != nil {
+		return 0, err
+	}
+	m, err := d.Evaluate(iLoad)
+	if err != nil {
+		return 0, err
+	}
+	// Board-level realities the on-chip model does not include: the input
+	// filter network and sense/trace resistance between the VRM and the
+	// board plane (~1.2 mOhm at the output current), plus the analog
+	// controller's quiescent power.
+	rTrace := 1.2e-3
+	pTrace := iLoad * iLoad * rTrace
+	pCtl := 0.25
+	loss := m.Loss.Total() + pTrace + pCtl
+	return m.POut / (m.POut + loss), nil
 }

@@ -1,6 +1,7 @@
 package pds
 
 import (
+	"context"
 	"testing"
 
 	"ivory/internal/grid"
@@ -61,6 +62,9 @@ func testDesign(t *testing.T) *sc.Design {
 	return d
 }
 
+// keep runs a simulation with its trace retained and no cancellation.
+var keep = SimOptions{KeepTrace: true}
+
 func TestSystemValidate(t *testing.T) {
 	s := testSystem(t)
 	if err := s.Validate(); err != nil {
@@ -86,7 +90,7 @@ func TestSystemValidate(t *testing.T) {
 func TestOffChipVRMNoise(t *testing.T) {
 	s := testSystem(t)
 	bench, _ := workload.Get("CFD")
-	res, err := s.SimulateOffChipVRM(bench, 20e-6, 1e-9)
+	res, err := s.Simulate(context.Background(), Regulator{Rail: Rail{Kind: OffChipVRM}}, bench, 20e-6, 1e-9, keep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +107,7 @@ func TestOffChipVRMNoise(t *testing.T) {
 	if len(res.Times) != len(res.VCore) {
 		t.Error("trace shape mismatch")
 	}
-	st := res.Stats()
+	st := res.VStats
 	if st.N == 0 || st.Min > st.Max {
 		t.Error("stats wrong")
 	}
@@ -117,13 +121,13 @@ func TestNoiseOrderingAcrossConfigs(t *testing.T) {
 	bench, _ := workload.Get("CFD")
 	T, dt := 20e-6, 1e-9
 
-	off, err := s.SimulateOffChipVRM(bench, T, dt)
+	off, err := s.Simulate(context.Background(), Regulator{Rail: IVRRail(0)}, bench, T, dt, keep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var vpp []float64
 	for _, n := range []int{1, 2, 4} {
-		r, err := s.SimulateIVR(d, n, bench, T, dt)
+		r, err := s.Simulate(context.Background(), Regulator{Rail: IVRRail(n), SC: d}, bench, T, dt, keep)
 		if err != nil {
 			t.Fatalf("%d IVRs: %v", n, err)
 		}
@@ -137,31 +141,42 @@ func TestNoiseOrderingAcrossConfigs(t *testing.T) {
 	}
 }
 
-func TestSimulateIVRValidation(t *testing.T) {
+func TestSimulateValidation(t *testing.T) {
 	s := testSystem(t)
 	d := testDesign(t)
 	bench, _ := workload.Get("CFD")
-	if _, err := s.SimulateIVR(d, 3, bench, 10e-6, 1e-9); err == nil {
+	sim := func(reg Regulator, T float64) error {
+		_, err := s.Simulate(context.Background(), reg, bench, T, 1e-9, SimOptions{})
+		return err
+	}
+	if sim(Regulator{Rail: Rail{Kind: DistributedIVR, N: 3}, SC: d}, 10e-6) == nil {
 		t.Error("3 IVRs for 4 cores must fail")
 	}
-	if _, err := s.SimulateIVR(d, 0, bench, 10e-6, 1e-9); err == nil {
+	if sim(Regulator{Rail: Rail{Kind: DistributedIVR, N: 8}, SC: d}, 10e-6) == nil {
+		t.Error("more IVRs than cores must fail")
+	}
+	if sim(Regulator{Rail: Rail{Kind: DistributedIVR}, SC: d}, 10e-6) == nil {
 		t.Error("zero IVRs must fail")
 	}
-	if _, err := s.SimulateIVR(d, 1, bench, 1e-9, 1e-9); err == nil {
+	if sim(Regulator{Rail: Rail{Kind: CentralizedIVR}}, 10e-6) == nil {
+		t.Error("an IVR rail without a design must fail")
+	}
+	if sim(Regulator{Rail: Rail{Kind: DigitalLDO}}, 10e-6) == nil {
+		t.Error("an LDO rail without a design must fail")
+	}
+	if sim(Regulator{Rail: Rail{Kind: CentralizedIVR}, SC: d}, 1e-9) == nil {
 		t.Error("too-short trace must fail")
 	}
 }
 
 func TestPowerBreakdownOffChip(t *testing.T) {
 	s := testSystem(t)
-	b, err := s.PowerBreakdown(BreakdownParams{
-		Config:        "off-chip VRM",
-		Margin:        0.125,
-		VRMEfficiency: 0.90,
-		NumIVRs:       0,
-	})
+	b, err := s.Breakdown(Rail{Kind: OffChipVRM}, BreakdownParams{Margin: 0.125})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if b.Config != "off-chip VRM" {
+		t.Errorf("config label %q", b.Config)
 	}
 	if !numeric.ApproxEqual(b.PCoreUseful, 20, 0) {
 		t.Errorf("useful power %v, want 20", b.PCoreUseful)
@@ -187,15 +202,12 @@ func TestPowerBreakdownOffChip(t *testing.T) {
 // carrying current at 3.3 V.
 func TestDistributedIVRBeatsOffChip(t *testing.T) {
 	s := testSystem(t)
-	off, err := s.PowerBreakdown(BreakdownParams{
-		Config: "off-chip VRM", Margin: 0.125, VRMEfficiency: 0.90, NumIVRs: 0,
-	})
+	off, err := s.Breakdown(Rail{Kind: OffChipVRM}, BreakdownParams{Margin: 0.125})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivr, err := s.PowerBreakdown(BreakdownParams{
-		Config: "4 distributed IVRs", Margin: 0.025,
-		IVREfficiency: 0.80, VRMEfficiency: 0.97, NumIVRs: 4,
+	ivr, err := s.Breakdown(Rail{Kind: DistributedIVR, N: 4}, BreakdownParams{
+		Margin: 0.025, RegulatorEfficiency: 0.80,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,14 +224,21 @@ func TestDistributedIVRBeatsOffChip(t *testing.T) {
 
 func TestPowerBreakdownValidation(t *testing.T) {
 	s := testSystem(t)
-	if _, err := s.PowerBreakdown(BreakdownParams{Margin: -1, VRMEfficiency: 0.9}); err == nil {
-		t.Error("negative margin must fail")
+	bad := []struct {
+		name string
+		rail Rail
+		p    BreakdownParams
+	}{
+		{"negative margin", Rail{Kind: OffChipVRM}, BreakdownParams{Margin: -1}},
+		{"invalid rail", Rail{Kind: DistributedIVR, N: 1}, BreakdownParams{RegulatorEfficiency: 0.8}},
+		{"zero IVR efficiency", Rail{Kind: DistributedIVR, N: 2}, BreakdownParams{}},
+		{"zero LDO headroom", Rail{Kind: DigitalLDO}, BreakdownParams{RegulatorEfficiency: 0.8}},
+		{"zero LDO efficiency", Rail{Kind: DigitalLDO}, BreakdownParams{LDOHeadroomV: 0.15}},
 	}
-	if _, err := s.PowerBreakdown(BreakdownParams{VRMEfficiency: 0}); err == nil {
-		t.Error("zero VRM efficiency must fail")
-	}
-	if _, err := s.PowerBreakdown(BreakdownParams{VRMEfficiency: 0.9, NumIVRs: 2, IVREfficiency: 0}); err == nil {
-		t.Error("zero IVR efficiency must fail")
+	for _, c := range bad {
+		if _, err := s.Breakdown(c.rail, c.p); err == nil {
+			t.Errorf("%s must fail", c.name)
+		}
 	}
 }
 

@@ -353,21 +353,31 @@ type TransientRequest struct {
 	Async     bool  `json:"async,omitempty"`
 }
 
+// canonical returns the request with its benchmark and configuration
+// lists sorted. Hash keys the cache on the sorted lists and Options runs
+// them, so a permuted request served from the cache or a coalesced flight
+// gets the same cell order as a fresh run. Sorted order is also the
+// default order: workload.Names() and the case-study set {0,1,2,4}.
+func (t TransientRequest) canonical() TransientRequest {
+	t.Benchmarks = append([]string(nil), t.Benchmarks...)
+	sort.Strings(t.Benchmarks)
+	t.Configs = append([]int(nil), t.Configs...)
+	sort.Ints(t.Configs)
+	return t
+}
+
 // Hash is the transient request's cache/singleflight key: the engine is
 // deterministic for a given (span, step, benchmark set, config set), so
 // identical sweeps coalesce exactly like explorations do.
 func (t TransientRequest) Hash() string {
+	t = t.canonical()
 	var b strings.Builder
 	fmt.Fprintf(&b, "t=%s;dt=%s",
 		strconv.FormatFloat(t.TUS, 'g', -1, 64), strconv.FormatFloat(t.DtNS, 'g', -1, 64))
-	benches := append([]string(nil), t.Benchmarks...)
-	sort.Strings(benches)
 	b.WriteString(";bench=")
-	b.WriteString(strings.Join(benches, ","))
-	configs := append([]int(nil), t.Configs...)
-	sort.Ints(configs)
+	b.WriteString(strings.Join(t.Benchmarks, ","))
 	b.WriteString(";configs=")
-	for i, c := range configs {
+	for i, c := range t.Configs {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -378,9 +388,10 @@ func (t TransientRequest) Hash() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Options converts the request into engine options. Worker count is the
-// server's to set.
+// Options converts the canonical request into engine options. Worker
+// count is the server's to set.
 func (t TransientRequest) Options(workers int) experiments.TransientOptions {
+	t = t.canonical()
 	return experiments.TransientOptions{
 		T:          t.TUS * 1e-6,
 		Dt:         t.DtNS * 1e-9,

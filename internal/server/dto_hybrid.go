@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"ivory/internal/pdn"
+	"ivory/internal/pds"
 	"ivory/internal/soc"
 	"ivory/internal/workload"
 )
@@ -141,10 +142,10 @@ func (h HybridRequest) floorplan() (*soc.Floorplan, error) {
 	return fl, nil
 }
 
-func parseRails(tokens []string) ([]soc.Rail, error) {
-	var rails []soc.Rail
+func parseRails(tokens []string) ([]pds.Rail, error) {
+	var rails []pds.Rail
 	for _, t := range tokens {
-		r, err := soc.ParseRail(t)
+		r, err := pds.ParseRail(t)
 		if err != nil {
 			return nil, err
 		}

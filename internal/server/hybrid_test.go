@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ivory/internal/numeric"
+	"ivory/internal/pds"
 	"ivory/internal/soc"
 )
 
@@ -17,17 +18,17 @@ import (
 func fakeSweepResult() *soc.SweepResult {
 	return &soc.SweepResult{
 		Floorplan: "stub",
-		Rails:     []soc.Rail{{Kind: soc.OffChipVRM}, {Kind: soc.CentralizedIVR}},
+		Rails:     []pds.Rail{{Kind: pds.OffChipVRM}, {Kind: pds.CentralizedIVR}},
 		T:         10e-6, Dt: 5e-9,
 		Cells: []soc.Cell{
-			{Domain: "a", Rail: soc.Rail{Kind: soc.OffChipVRM}, Config: "off-chip VRM",
+			{Domain: "a", Rail: pds.Rail{Kind: pds.OffChipVRM}, Config: "off-chip VRM",
 				NoiseVpp: 0.02, WorstDroop: 0.01, MarginV: 0.01, Efficiency: 0.8,
 				PCoreW: 10, PSourceW: 12.5},
-			{Domain: "a", Rail: soc.Rail{Kind: soc.CentralizedIVR}, Config: "centralized IVR",
+			{Domain: "a", Rail: pds.Rail{Kind: pds.CentralizedIVR}, Config: "centralized IVR",
 				Infeasible: "stub: no fit"},
 		},
 		Candidates: []soc.Candidate{{
-			Rails: []soc.Rail{{Kind: soc.OffChipVRM}}, Key: "a=vrm",
+			Rails: []pds.Rail{{Kind: pds.OffChipVRM}}, Key: "a=vrm",
 			Efficiency: 0.8, PCoreW: 10, PSourceW: 12.5, WorstMarginV: 0.01,
 		}},
 		Stats: soc.SweepStats{

@@ -661,6 +661,58 @@ func TestTransientRejectsUnknownBenchmark(t *testing.T) {
 	}
 }
 
+// TestTransientPermutedRequestCellOrder: a request that lists the same
+// benchmarks and configurations in another order shares the cache key, so
+// it must also share the cell order — the order a fresh, uncached run of
+// that request produces — rather than inherit the first requester's order.
+func TestTransientPermutedRequestCellOrder(t *testing.T) {
+	cellOrder := func(body []byte) []string {
+		t.Helper()
+		var tr TransientResponse
+		if err := json.Unmarshal(body, &tr); err != nil {
+			t.Fatal(err)
+		}
+		var order []string
+		for _, c := range tr.Cells {
+			order = append(order, c.Benchmark+"/"+c.Config)
+		}
+		return order
+	}
+	post := func(ts *httptest.Server, body string) []byte {
+		t.Helper()
+		resp, b := postJSON(t, ts.URL+"/v1/transient", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d (%s)", resp.StatusCode, b)
+		}
+		return b
+	}
+	const first = `{"t_us":2,"dt_ns":2,"benchmarks":["KMN","CFD"],"configs":[2,0]}`
+	const permuted = `{"t_us":2,"dt_ns":2,"benchmarks":["CFD","KMN"],"configs":[0,2]}`
+
+	cached := New(Config{Workers: 1, QueueDepth: 2, EngineWorkers: 1})
+	cts := httptest.NewServer(cached.Handler())
+	defer cts.Close()
+	post(cts, first)
+	got := cellOrder(post(cts, permuted))
+	if hits, _ := cached.cache.Stats(); hits < 1 {
+		t.Fatal("the permuted request must be served from the cache")
+	}
+
+	fresh := New(Config{Workers: 1, QueueDepth: 2, EngineWorkers: 1})
+	fts := httptest.NewServer(fresh.Handler())
+	defer fts.Close()
+	want := cellOrder(post(fts, permuted))
+
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("cached cell order %v, fresh run %v", got, want)
+	}
+	for _, s := range []*Server{cached, fresh} {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+	}
+}
+
 // TestShutdownTeardownBoundedByCallerCtx pins the HTTP-teardown contract:
 // the post-drain connection grace derives from the caller's context, so a
 // hung client connection cannot pin Shutdown for the full internal grace

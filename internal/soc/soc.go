@@ -22,8 +22,8 @@ package soc
 
 import (
 	"fmt"
+	"hash/fnv"
 
-	"ivory/internal/buck"
 	"ivory/internal/ldo"
 	"ivory/internal/pdn"
 	"ivory/internal/pds"
@@ -141,21 +141,9 @@ func (f *Floorplan) TotalTDP() float64 {
 // domainSeed is the default per-domain seed derivation; Domain.Seed
 // overrides it.
 func domainSeed(base int64, name string) int64 {
-	h := fnv1aString(fnvOffset64, name)
-	return base ^ int64(h)
-}
-
-// FNV-1a constants matching internal/pds and internal/workload.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-func fnv1aString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(name))
+	return base ^ int64(h.Sum64())
 }
 
 // system realizes one domain as a pds.System — field-for-field, so a
@@ -253,44 +241,6 @@ func ldoDesignFor(d Domain, headroomV float64) (*ldo.Design, error) {
 		FSample:    250e6,
 		Interleave: 4,
 	})
-}
-
-// boardVRMEfficiency evaluates the off-chip VRM (a surface-mount buck at
-// low frequency, the same commensurate model experiments/fig13 uses)
-// producing vOut at power pOut from the board rail vIn, including trace
-// resistance and controller quiescent power.
-func boardVRMEfficiency(vIn, vOut, pOut float64) (float64, error) {
-	iLoad := pOut / vOut
-	cfg := buck.Config{
-		Node:       tech.MustLookup("130nm"), // board-class silicon
-		Inductor:   tech.SurfaceMount,
-		OutCap:     tech.MIMCap,
-		VIn:        vIn,
-		VOut:       vOut,
-		L:          300e-9,
-		COut:       20e-6,
-		FSw:        2e6,
-		GHigh:      50,
-		GLow:       80,
-		Interleave: 4,
-	}
-	d, err := buck.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	d, err = d.OptimizeConductances(iLoad)
-	if err != nil {
-		return 0, err
-	}
-	m, err := d.Evaluate(iLoad)
-	if err != nil {
-		return 0, err
-	}
-	rTrace := 1.2e-3
-	pTrace := iLoad * iLoad * rTrace
-	pCtl := 0.25
-	loss := m.Loss.Total() + pTrace + pCtl
-	return m.POut / (m.POut + loss), nil
 }
 
 // DefaultFloorplan is a five-domain heterogeneous SoC (~43 W): big and

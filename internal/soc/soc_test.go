@@ -93,11 +93,11 @@ func TestOneDomainEquivalence(t *testing.T) {
 
 	res, err := Sweep(SweepSpec{
 		Floorplan: fl,
-		Rails: []Rail{
-			{Kind: OffChipVRM},
-			{Kind: CentralizedIVR},
-			{Kind: DistributedIVR, N: 2},
-			{Kind: DistributedIVR, N: 4},
+		Rails: []pds.Rail{
+			{Kind: pds.OffChipVRM},
+			{Kind: pds.CentralizedIVR},
+			{Kind: pds.DistributedIVR, N: 2},
+			{Kind: pds.DistributedIVR, N: 4},
 		},
 		T: T, Dt: dt,
 	})
@@ -115,11 +115,9 @@ func TestOneDomainEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := make([]*pds.NoiseResult, 4)
-	if direct[0], err = sys.SimulateOffChipVRMContext(ctx, cfd, T, dt, pds.SimOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range []int{1, 2, 4} {
-		if direct[i+1], err = sys.SimulateIVRContext(ctx, des, n, cfd, T, dt, pds.SimOptions{}); err != nil {
+	for i, n := range []int{0, 1, 2, 4} {
+		reg := pds.Regulator{Rail: pds.IVRRail(n), SC: des}
+		if direct[i], err = sys.Simulate(ctx, reg, cfd, T, dt, pds.SimOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,14 +159,15 @@ func TestSweepExplicitDesignEquivalence(t *testing.T) {
 	const T, dt = 10e-6, 5e-9
 	res, err := Sweep(SweepSpec{
 		Floorplan: fl,
-		Rails:     []Rail{{Kind: CentralizedIVR}},
+		Rails:     []pds.Rail{{Kind: pds.CentralizedIVR}},
 		IVRDesign: des,
 		T:         T, Dt: dt,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nr, err := sys.SimulateIVRContext(context.Background(), des, 1, cfd, T, dt, pds.SimOptions{})
+	reg := pds.Regulator{Rail: pds.Rail{Kind: pds.CentralizedIVR}, SC: des}
+	nr, err := sys.Simulate(context.Background(), reg, cfd, T, dt, pds.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +288,11 @@ func TestSweepCancel(t *testing.T) {
 func TestSweepRejectsBadSpecs(t *testing.T) {
 	fl := smallFloorplan(t)
 	cases := []SweepSpec{
-		{Floorplan: fl, T: 1e-8, Dt: 5e-9},                       // too few samples
-		{Floorplan: fl, AreaBudgetMM2: -1},                       // negative budget
-		{Floorplan: fl, LDOHeadroomV: -0.1},                      // negative headroom
-		{Floorplan: fl, Rails: []Rail{{Kind: RailKind(9)}}},      // unknown rail
-		{Floorplan: fl, Rails: []Rail{{Kind: OffChipVRM, N: 2}}}, // instance count on a singleton rail
+		{Floorplan: fl, T: 1e-8, Dt: 5e-9},                               // too few samples
+		{Floorplan: fl, AreaBudgetMM2: -1},                               // negative budget
+		{Floorplan: fl, LDOHeadroomV: -0.1},                              // negative headroom
+		{Floorplan: fl, Rails: []pds.Rail{{Kind: pds.RailKind(9)}}},      // unknown rail
+		{Floorplan: fl, Rails: []pds.Rail{{Kind: pds.OffChipVRM, N: 2}}}, // instance count on a singleton rail
 	}
 	for i, spec := range cases {
 		if _, err := Sweep(spec); err == nil {
@@ -308,52 +307,23 @@ func TestSweepRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-func TestParseRail(t *testing.T) {
-	good := map[string]Rail{
-		"vrm":      {Kind: OffChipVRM},
-		"off-chip": {Kind: OffChipVRM},
-		"IVR":      {Kind: CentralizedIVR},
-		"ivr1":     {Kind: CentralizedIVR},
-		" ivr4 ":   {Kind: DistributedIVR, N: 4},
-		"ldo":      {Kind: DigitalLDO},
-	}
-	for tok, want := range good {
-		got, err := ParseRail(tok)
-		if err != nil || got != want {
-			t.Errorf("ParseRail(%q) = %v, %v; want %v", tok, got, err, want)
-		}
-	}
-	for _, tok := range []string{"", "buck", "ivr0", "ivr-3", "ivrx"} {
-		if _, err := ParseRail(tok); err == nil {
-			t.Errorf("ParseRail(%q) must fail", tok)
-		}
-	}
-	// Round trip through String.
-	for _, r := range DefaultRails() {
-		got, err := ParseRail(r.String())
-		if err != nil || got != r {
-			t.Errorf("round trip %v -> %q -> %v, %v", r, r.String(), got, err)
-		}
-	}
-}
-
 func TestNormalizeRails(t *testing.T) {
-	in := []Rail{
-		{Kind: DigitalLDO},
-		{Kind: DistributedIVR, N: 4},
-		{Kind: OffChipVRM},
-		{Kind: DistributedIVR, N: 2},
-		{Kind: OffChipVRM}, // duplicate
+	in := []pds.Rail{
+		{Kind: pds.DigitalLDO},
+		{Kind: pds.DistributedIVR, N: 4},
+		{Kind: pds.OffChipVRM},
+		{Kind: pds.DistributedIVR, N: 2},
+		{Kind: pds.OffChipVRM}, // duplicate
 	}
 	out, err := NormalizeRails(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Rail{
-		{Kind: OffChipVRM},
-		{Kind: DistributedIVR, N: 2},
-		{Kind: DistributedIVR, N: 4},
-		{Kind: DigitalLDO},
+	want := []pds.Rail{
+		{Kind: pds.OffChipVRM},
+		{Kind: pds.DistributedIVR, N: 2},
+		{Kind: pds.DistributedIVR, N: 4},
+		{Kind: pds.DigitalLDO},
 	}
 	if len(out) != len(want) {
 		t.Fatalf("got %v, want %v", out, want)

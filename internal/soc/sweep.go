@@ -3,6 +3,7 @@ package soc
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -38,7 +39,7 @@ type SweepSpec struct {
 	// Rails is the per-domain delivery menu (shared by all domains); empty
 	// selects DefaultRails. The menu is canonically sorted and deduped, so
 	// listing order never affects results.
-	Rails []Rail
+	Rails []pds.Rail
 	// AreaBudgetMM2 is the shared on-chip regulator area budget (mm²)
 	// across all domains; 0 disables the constraint.
 	AreaBudgetMM2 float64
@@ -70,7 +71,7 @@ type Cell struct {
 	// Domain and Rail identify the cell; Config is the rail's descriptive
 	// label (matching pds result Config names).
 	Domain string
-	Rail   Rail
+	Rail   pds.Rail
 	Config string
 	// VStats summarizes the worst block's supply voltage over the
 	// transient window.
@@ -100,7 +101,7 @@ type Cell struct {
 // Candidate is one ranked per-domain rail assignment.
 type Candidate struct {
 	// Rails assigns one rail per floorplan domain, in floorplan order.
-	Rails []Rail
+	Rails []pds.Rail
 	// Key is the canonical label ("cpu-big=ivr4,gpu=vrm,..."), unique per
 	// assignment and the deterministic tie-break of the ranking.
 	Key string
@@ -143,7 +144,7 @@ type SweepResult struct {
 	// Floorplan names the swept floorplan; Rails echoes the normalized
 	// menu; T/Dt/AreaBudgetMM2/LDOHeadroomV echo the defaulted inputs.
 	Floorplan     string
-	Rails         []Rail
+	Rails         []pds.Rail
 	T, Dt         float64
 	AreaBudgetMM2 float64
 	LDOHeadroomV  float64
@@ -297,101 +298,43 @@ func Sweep(spec SweepSpec) (*SweepResult, error) {
 // evaluateCell runs one domain × rail transient plus its steady-state
 // ladder. Domain-level infeasibility (a distribution count that cannot
 // serve the cores, a load beyond a dropout limit) is recorded on the cell;
-// only cancellation and floorplan-level faults return an error.
-func evaluateCell(ctx context.Context, fl *Floorplan, d Domain, r Rail, ivrBase *sc.Design, T, dt, headroomV float64, scr *pds.Scratch) (Cell, error) {
+// only cancellation returns an error.
+func evaluateCell(ctx context.Context, fl *Floorplan, d Domain, r pds.Rail, ivrBase *sc.Design, T, dt, headroomV float64, scr *pds.Scratch) (Cell, error) {
 	cell := Cell{Domain: d.Name, Rail: r, Config: r.Label()}
-	sys := fl.system(d)
-	opt := pds.SimOptions{Scratch: scr}
-	var nr *pds.NoiseResult
-	var simErr error
-	areaM2 := 0.0
-	iDomain := d.TDP() / d.VNominal
-	efficiency := 0.0 // regulator conversion efficiency where one exists
-	switch r.Kind {
-	case OffChipVRM:
-		nr, simErr = sys.SimulateOffChipVRMContext(ctx, d.Workload, T, dt, opt)
-	case CentralizedIVR, DistributedIVR:
-		n := 1
-		if r.Kind == DistributedIVR {
-			n = r.N
-		}
-		areaM2 = ivrBase.Area()
-		m, err := ivrBase.Evaluate(iDomain)
-		if err != nil {
-			cell.Infeasible = err.Error()
-			return cell, nil
-		}
-		efficiency = m.Efficiency
-		nr, simErr = sys.SimulateIVRContext(ctx, ivrBase, n, d.Workload, T, dt, opt)
-	case DigitalLDO:
-		des, err := ldoDesignFor(d, headroomV)
-		if err != nil {
-			cell.Infeasible = err.Error()
-			return cell, nil
-		}
-		areaM2 = des.Area()
-		m, err := des.Evaluate(iDomain)
-		if err != nil {
-			cell.Infeasible = err.Error()
-			return cell, nil
-		}
-		efficiency = m.Efficiency
-		nr, simErr = sys.SimulateDigitalLDOContext(ctx, des, d.Workload, T, dt, opt)
-	default:
-		return cell, fmt.Errorf("soc: unknown rail kind %d", int(r.Kind))
-	}
-	if simErr != nil {
-		if err := ctx.Err(); err != nil {
-			return cell, err
-		}
-		cell.Infeasible = simErr.Error()
+	infeasible := func(err error) (Cell, error) {
+		cell.Infeasible = err.Error()
 		return cell, nil
 	}
-	margin := nr.WorstDroop
-	if margin < 0 {
-		margin = 0
+	reg := pds.Regulator{Rail: r, SC: ivrBase}
+	if r.Kind == pds.DigitalLDO {
+		des, err := ldoDesignFor(d, headroomV)
+		if err != nil {
+			return infeasible(err)
+		}
+		reg.LDO = des
+	}
+	eff, err := reg.Efficiency(d.TDP() / d.VNominal)
+	if err != nil {
+		return infeasible(err)
+	}
+	sys := fl.system(d)
+	nr, err := sys.Simulate(ctx, reg, d.Workload, T, dt, pds.SimOptions{Scratch: scr})
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return cell, cerr
+		}
+		return infeasible(err)
 	}
 	cell.VStats = nr.VStats
 	cell.NoiseVpp = nr.NoiseVpp
 	cell.WorstDroop = nr.WorstDroop
-	cell.MarginV = margin
-	cell.AreaM2 = areaM2
-
-	params := pds.BreakdownParams{Config: r.Label(), Margin: margin}
-	var bd pds.Breakdown
-	var bdErr error
-	switch r.Kind {
-	case OffChipVRM:
-		// The board VRM must produce the core voltage plus margin.
-		vrmEff, err := boardVRMEfficiency(fl.VSource, d.VNominal+margin, d.TDP())
-		if err != nil {
-			cell.Infeasible = err.Error()
-			return cell, nil
-		}
-		params.VRMEfficiency = vrmEff
-		bd, bdErr = sys.PowerBreakdown(params)
-	case CentralizedIVR, DistributedIVR:
-		params.IVREfficiency = efficiency
-		// The 3.3 V board rail reaches the IVRs with light conditioning.
-		params.VRMEfficiency = 0.97
-		params.NumIVRs = 1
-		if r.Kind == DistributedIVR {
-			params.NumIVRs = r.N
-		}
-		bd, bdErr = sys.PowerBreakdown(params)
-	case DigitalLDO:
-		params.IVREfficiency = efficiency
-		vrmEff, err := boardVRMEfficiency(fl.VSource, d.VNominal+margin+headroomV, d.TDP())
-		if err != nil {
-			cell.Infeasible = err.Error()
-			return cell, nil
-		}
-		params.VRMEfficiency = vrmEff
-		bd, bdErr = sys.PowerBreakdownLDO(params, headroomV)
-	}
-	if bdErr != nil {
-		cell.Infeasible = bdErr.Error()
-		return cell, nil
+	cell.MarginV = math.Max(nr.WorstDroop, 0)
+	cell.AreaM2 = reg.Area()
+	bd, err := sys.Breakdown(r, pds.BreakdownParams{
+		Margin: cell.MarginV, RegulatorEfficiency: eff, LDOHeadroomV: headroomV,
+	})
+	if err != nil {
+		return infeasible(err)
 	}
 	cell.PCoreW = bd.PCoreUseful
 	cell.PSourceW = bd.PSource
@@ -404,7 +347,7 @@ func evaluateCell(ctx context.Context, fl *Floorplan, d Domain, r Rail, ivrBase 
 // busted prefix is counted rejected without being visited), and appends
 // surviving candidates with periodic compaction so retention stays
 // bounded even on large spaces.
-func enumerate(ctx context.Context, res *SweepResult, fl *Floorplan, rails []Rail, keep int) error {
+func enumerate(ctx context.Context, res *SweepResult, fl *Floorplan, rails []pds.Rail, keep int) error {
 	D, R := len(fl.Domains), len(rails)
 	// powR[k] = R^k: the subtree size below a pruned prefix.
 	powR := make([]int, D+1)
@@ -426,7 +369,7 @@ func enumerate(ctx context.Context, res *SweepResult, fl *Floorplan, rails []Rai
 		if level == D {
 			res.Stats.Ranked++
 			c := Candidate{
-				Rails:        make([]Rail, D),
+				Rails:        make([]pds.Rail, D),
 				AreaM2:       areaM2,
 				PCoreW:       pCoreW,
 				PSourceW:     pSourceW,

@@ -309,8 +309,16 @@ type (
 	Benchmark = workload.Benchmark
 	// LoadModel converts power demand into supply current.
 	LoadModel = workload.LoadModel
-	// PDSSystem is the manycore platform description.
+	// PDSSystem is the manycore platform description. Its Simulate and
+	// Breakdown methods evaluate any Rail.
 	PDSSystem = pds.System
+	// Rail is one power-delivery configuration: off-chip VRM, centralized
+	// or N distributed IVRs, or a digital LDO.
+	Rail = pds.Rail
+	// Regulator pairs a Rail with the on-chip design it needs.
+	Regulator = pds.Regulator
+	// SimOptions controls one PDSSystem.Simulate call.
+	SimOptions = pds.SimOptions
 	// NoiseResult is one configuration x benchmark noise simulation.
 	NoiseResult = pds.NoiseResult
 	// PowerBreakdown itemizes source-to-core power (Fig. 13).
@@ -318,6 +326,12 @@ type (
 	// BreakdownParams configures a power-breakdown computation.
 	BreakdownParams = pds.BreakdownParams
 )
+
+// ParseRail parses a rail token: "vrm", "ivr", "ivrN" or "ldo".
+func ParseRail(s string) (Rail, error) { return pds.ParseRail(s) }
+
+// IVRRail maps a case-study IVR count to its rail (0 = off-chip VRM).
+func IVRRail(n int) Rail { return pds.IVRRail(n) }
 
 // NewPDN builds a validated PDN ladder.
 func NewPDN(stages ...PDNStage) (*PDNNetwork, error) { return pdn.New(stages...) }
