@@ -231,7 +231,7 @@ func TestEfficiencyRelativelyFlatAcrossVOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vout, eff := d.EfficiencyCurve(2.0, 0.8, 1.4, 10)
+	vout, eff := efficiencyCurve(d, 2.0, 0.8, 1.4, 10)
 	if len(eff) < 8 {
 		t.Fatalf("curve too short: %d", len(eff))
 	}
@@ -297,4 +297,25 @@ func TestFrequencyDependentInductance(t *testing.T) {
 	if dHi.LEff() >= dLow.LEff() {
 		t.Errorf("L_eff should roll off with frequency: %v vs %v", dHi.LEff(), dLow.LEff())
 	}
+}
+
+// efficiencyCurve sweeps the regulation target from vLo to vHi at fixed
+// load and returns the achieved V_out and efficiency of every feasible
+// point.
+func efficiencyCurve(d *Design, iLoad, vLo, vHi float64, points int) (vout, eff []float64) {
+	for k := 0; k < points; k++ {
+		cfg := d.Config()
+		cfg.VOut = vLo + (vHi-vLo)*float64(k)/float64(points-1)
+		dd, err := New(cfg)
+		if err != nil {
+			continue
+		}
+		m, err := dd.Evaluate(iLoad)
+		if err != nil {
+			continue
+		}
+		vout = append(vout, m.VOut)
+		eff = append(eff, m.Efficiency)
+	}
+	return vout, eff
 }

@@ -90,8 +90,8 @@ func TestRankNaNRowsSink(t *testing.T) {
 
 // batchFront is the quadratic reference the incremental set is checked
 // against: keep every candidate no other candidate dominates.
-func batchFront(in []Candidate, noise bool) map[string]int {
-	p := &ParetoSet{noise: noise}
+func batchFront(in []Candidate) map[string]int {
+	p := &ParetoSet{}
 	out := map[string]int{}
 	for i := range in {
 		if !finiteMetrics(in[i]) {
@@ -115,11 +115,10 @@ func batchFront(in []Candidate, noise bool) map[string]int {
 
 // TestParetoSetMatchesBatch drives the incremental front with randomized
 // candidates and insertion orders and checks it always lands on the batch
-// answer, in both the two- and three-objective configurations.
+// answer.
 func TestParetoSetMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
-		noise := trial%2 == 1
 		n := 3 + rng.Intn(30)
 		cands := make([]Candidate, n)
 		for i := range cands {
@@ -129,17 +128,12 @@ func TestParetoSetMatchesBatch(t *testing.T) {
 		if trial%5 == 4 {
 			cands[rng.Intn(n)].Metrics.Efficiency = math.NaN()
 		}
-		var set *ParetoSet
-		if noise {
-			set = NewParetoSetNoise()
-		} else {
-			set = NewParetoSet()
-		}
+		set := NewParetoSet()
 		for _, c := range cands {
 			set.Insert(c)
 		}
-		want := batchFront(cands, noise)
-		front := set.Front()
+		want := batchFront(cands)
+		front := set.items
 		got := map[string]int{}
 		total := 0
 		for _, c := range front {
@@ -151,20 +145,20 @@ func TestParetoSetMatchesBatch(t *testing.T) {
 		for k, n := range want {
 			total += n
 			if got[k] != n {
-				t.Fatalf("trial %d (noise=%v): key %s appears %d times on incremental front, batch says %d", trial, noise, k, got[k], n)
+				t.Fatalf("trial %d: key %s appears %d times on incremental front, batch says %d", trial, k, got[k], n)
 			}
 		}
 		if len(front) != total {
-			t.Fatalf("trial %d (noise=%v): front size %d, want %d", trial, noise, len(front), total)
+			t.Fatalf("trial %d: front size %d, want %d", trial, len(front), total)
 		}
 		if set.Size() != len(front) {
-			t.Fatalf("trial %d: Size %d != len(Front) %d", trial, set.Size(), len(front))
+			t.Fatalf("trial %d: Size %d != front length %d", trial, set.Size(), len(front))
 		}
 	}
 }
 
-// TestParetoFrontOrderDeterministic pins Front()'s order: area ascending,
-// canonical key on ties, for any insertion order.
+// TestParetoFrontOrderDeterministic pins that the front's membership, as a
+// multiset of canonical keys, is the same for any insertion order.
 func TestParetoFrontOrderDeterministic(t *testing.T) {
 	cands := []Candidate{
 		mkCand(KindSC, "a", 0.9, 2e-6, 0.01),
@@ -181,9 +175,10 @@ func TestParetoFrontOrderDeterministic(t *testing.T) {
 			set.Insert(c)
 		}
 		var keys []string
-		for _, c := range set.Front() {
+		for _, c := range set.items {
 			keys = append(keys, candidateKey(c))
 		}
+		sort.Strings(keys)
 		got := strings.Join(keys, "\n")
 		if trial == 0 {
 			want = got
@@ -195,22 +190,23 @@ func TestParetoFrontOrderDeterministic(t *testing.T) {
 	}
 }
 
-// TestResultFrontsExcludeNonFinite feeds Result.ParetoFront and
-// MultiObjectiveFront a mix of finite and NaN rows.
+// TestResultFrontsExcludeNonFinite feeds the front a run's Stats.FrontSize
+// counts a mix of finite and NaN rows.
 func TestResultFrontsExcludeNonFinite(t *testing.T) {
-	res := Result{Candidates: []Candidate{
+	set := NewParetoSet()
+	for _, c := range []Candidate{
 		mkCand(KindSC, "ok", 0.9, 2e-6, 0.01),
 		mkCand(KindSC, "bad", math.NaN(), 1e-6, 0.01),
 		mkCand(KindBuck, "ok2", 0.5, 1e-6, 0.05),
-	}}
-	for _, front := range [][]Candidate{res.ParetoFront(), res.MultiObjectiveFront()} {
-		if len(front) == 0 {
-			t.Fatal("empty front")
-		}
-		for _, c := range front {
-			if !finiteMetrics(c) {
-				t.Fatalf("non-finite candidate %q on front", c.Label)
-			}
+	} {
+		set.Insert(c)
+	}
+	if set.Size() == 0 {
+		t.Fatal("empty front")
+	}
+	for _, c := range set.items {
+		if !finiteMetrics(c) {
+			t.Fatalf("non-finite candidate %q on front", c.Label)
 		}
 	}
 }

@@ -83,18 +83,6 @@ const (
 	keepCells = 1
 )
 
-// PaperSweepSpecs returns the specs committed across the repository's
-// examples and smoke scripts — the sweeps the adaptive-vs-exhaustive
-// equivalence tests and benchmarks run.
-func PaperSweepSpecs() []Spec {
-	return []Spec{
-		CaseStudySpec("45nm"), // examples/gpu-casestudy, the paper's Table 2
-		{NodeName: "22nm", VIn: 1.8, VOut: 0.9, IMax: 2, AreaMax: 3e-6},  // examples/quickstart
-		{NodeName: "45nm", VIn: 3.3, VOut: 0.95, IMax: 6, AreaMax: 5e-6}, // examples/dvfs-transient
-		{NodeName: "45nm", VIn: 1.8, VOut: 0.9, IMax: 1, AreaMax: 2e-6},  // scripts/ivoryd_smoke.sh
-	}
-}
-
 // winnerBoard holds the top-k candidates seen so far under the run's
 // total ranking order. Pruning rules consult it: a region is only skipped
 // when its analytic ceiling cannot displace the board's last entry.

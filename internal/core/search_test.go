@@ -25,7 +25,7 @@ func familyBest(cands []Candidate) map[Kind]string {
 // per-family bests too. The conservation identity pins the accounting:
 // every lattice point is either evaluated or explicitly counted pruned.
 func TestAdaptiveMatchesExhaustiveOnPaperSweeps(t *testing.T) {
-	for si, base := range PaperSweepSpecs() {
+	for si, base := range paperSweepSpecs() {
 		for _, obj := range []Objective{MaxEfficiency, MinArea, MinNoise} {
 			ex := base
 			ex.Objective = obj
@@ -200,5 +200,17 @@ func TestSearchValidation(t *testing.T) {
 	spec.Search = SearchStrategy(7)
 	if _, err := Explore(spec); err == nil {
 		t.Fatal("want error for unknown search strategy")
+	}
+}
+
+// paperSweepSpecs returns the specs committed across the repository's
+// examples and smoke scripts — the sweeps the adaptive-vs-exhaustive
+// equivalence tests and benchmarks run.
+func paperSweepSpecs() []Spec {
+	return []Spec{
+		CaseStudySpec("45nm"), // examples/gpu-casestudy, the paper's Table 2
+		{NodeName: "22nm", VIn: 1.8, VOut: 0.9, IMax: 2, AreaMax: 3e-6},  // examples/quickstart
+		{NodeName: "45nm", VIn: 3.3, VOut: 0.95, IMax: 6, AreaMax: 5e-6}, // examples/dvfs-transient
+		{NodeName: "45nm", VIn: 1.8, VOut: 0.9, IMax: 1, AreaMax: 2e-6},  // scripts/ivoryd_smoke.sh
 	}
 }

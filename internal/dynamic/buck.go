@@ -3,8 +3,6 @@ package dynamic
 import (
 	"fmt"
 	"math"
-
-	"ivory/internal/buck"
 )
 
 // BuckParams is the dynamic model of an N-phase buck converter in CCM: per
@@ -27,19 +25,6 @@ type BuckParams struct {
 	// Kp and Ki are the PI controller gains (duty per volt, duty per
 	// volt-second); zero selects stable defaults derived from the plant.
 	Kp, Ki float64
-}
-
-// BuckFromDesign maps a static buck design to dynamic parameters.
-func BuckFromDesign(d *buck.Design) BuckParams {
-	cfg := d.Config()
-	return BuckParams{
-		VIn:        cfg.VIn,
-		L:          d.LEff(),
-		RL:         0.05, // series resistance folded into the phase model
-		COut:       cfg.COut,
-		FSw:        cfg.FSw,
-		Interleave: cfg.Interleave,
-	}
 }
 
 // BuckSimulator runs the combined model of the interleaved buck.

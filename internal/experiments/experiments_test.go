@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -144,7 +145,7 @@ func TestTable1Contents(t *testing.T) {
 }
 
 func TestTable2Ordering(t *testing.T) {
-	tbl, err := Table2()
+	tbl, err := Table2Context(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestTable2Ordering(t *testing.T) {
 }
 
 func TestFig10And11NoiseOrdering(t *testing.T) {
-	r, err := Fig10(10e-6, 1e-9)
+	r, err := Fig10Run(context.Background(), TransientOptions{T: 10e-6, Dt: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestFig10And11NoiseOrdering(t *testing.T) {
 }
 
 func TestFig12AreaTradeoff(t *testing.T) {
-	r, err := Fig12()
+	r, err := Fig12Run(context.Background(), TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +219,11 @@ func TestFig12AreaTradeoff(t *testing.T) {
 }
 
 func TestFig13IVRWins(t *testing.T) {
-	noise, err := Fig10(10e-6, 1e-9)
+	noise, err := Fig10Run(context.Background(), TransientOptions{T: 10e-6, Dt: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Fig13(noise)
+	r, err := Fig13Run(context.Background(), noise, TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,13 +18,9 @@ type TwoStageResult struct {
 	Inner *core.TwoStageResult
 }
 
-// TwoStage explores intermediate rails for the case-study conversion.
-func TwoStage() (*TwoStageResult, error) {
-	return TwoStageContext(context.Background())
-}
-
-// TwoStageContext is TwoStage with run control threaded into the
-// single-stage reference and every per-rail re-exploration.
+// TwoStageContext explores intermediate rails for the case-study
+// conversion, with run control threaded into the single-stage reference
+// and every per-rail re-exploration.
 func TwoStageContext(ctx context.Context) (*TwoStageResult, error) {
 	cs, err := NewCaseSystem()
 	if err != nil {
@@ -70,16 +66,11 @@ type DVFSResult struct {
 	Rows                             []DVFSRow
 }
 
-// FastDVFS measures DVFS transition times of the case-study SC IVR with
-// the dynamic model, then evaluates the energy benefit of toggling between
-// a 0.95 V active state and a 0.70 V idle state (50 % duty) across
-// schedule periods.
-func FastDVFS() (*DVFSResult, error) {
-	return FastDVFSContext(context.Background())
-}
-
-// FastDVFSContext is FastDVFS with run control threaded into the
-// case-study exploration that picks the IVR design.
+// FastDVFSContext measures DVFS transition times of the case-study SC IVR
+// with the dynamic model, then evaluates the energy benefit of toggling
+// between a 0.95 V active state and a 0.70 V idle state (50 % duty) across
+// schedule periods. ctx cancels the case-study exploration that picks the
+// IVR design.
 func FastDVFSContext(ctx context.Context) (*DVFSResult, error) {
 	cs, err := NewCaseSystem()
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,7 +23,7 @@ func TestExtensionCSVWriters(t *testing.T) {
 	if err := g.WriteCSV(w); err != nil {
 		t.Fatal(err)
 	}
-	gs, err := GridScale()
+	gs, err := GridScaleRun(context.Background(), TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestExtensionCSVWriters(t *testing.T) {
 }
 
 func TestAblationsAllMeaningful(t *testing.T) {
-	r, err := Ablations()
+	r, err := AblationsRun(context.Background(), TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestAblationsAllMeaningful(t *testing.T) {
 }
 
 func TestTwoStageExploration(t *testing.T) {
-	r, err := TwoStage()
+	r, err := TwoStageContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestTwoStageExploration(t *testing.T) {
 }
 
 func TestVariationStudy(t *testing.T) {
-	r, err := Variation(80, 0.10)
+	r, err := VariationContext(context.Background(), 80, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestVariationStudy(t *testing.T) {
 }
 
 func TestNodeSweepTrends(t *testing.T) {
-	r, err := NodeSweep()
+	r, err := NodeSweepContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestGearsEnvelope(t *testing.T) {
 }
 
 func TestGridScaleMonotone(t *testing.T) {
-	r, err := GridScale()
+	r, err := GridScaleRun(context.Background(), TransientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestFamilyTransientsOrdering(t *testing.T) {
 }
 
 func TestFastDVFSBehaviour(t *testing.T) {
-	r, err := FastDVFS()
+	r, err := FastDVFSContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

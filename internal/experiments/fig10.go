@@ -70,12 +70,6 @@ func caseIVRDesign(ctx context.Context, cs *CaseSystem) (*sc.Design, error) {
 	return sc.New(cfg)
 }
 
-// Fig10 runs the workload-driven noise analysis. T and dt control the
-// simulated span per cell; zero selects 20 µs at 1 ns.
-func Fig10(T, dt float64) (*Fig10Result, error) {
-	return Fig10Run(context.Background(), TransientOptions{T: T, Dt: dt})
-}
-
 // fig10Cell names one benchmark × configuration simulation.
 type fig10Cell struct {
 	bench string
@@ -126,9 +120,6 @@ func fig10Cells(opt TransientOptions) ([]fig10Cell, []int, error) {
 // is bit-identical to the serial path for every worker count. Only CFD
 // cells retain their waveforms (Fig. 11); the rest carry statistics alone.
 func Fig10Run(ctx context.Context, opt TransientOptions) (*Fig10Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	T, dt := opt.T, opt.Dt
 	if T <= 0 {
 		T = 20e-6

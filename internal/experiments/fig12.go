@@ -28,24 +28,11 @@ type Fig12Result struct {
 	CrossoverMM2 float64
 }
 
-// Fig12 sweeps the area budget for the case-study operating point.
-func Fig12() (*Fig12Result, error) {
-	return Fig12Context(context.Background())
-}
-
-// Fig12Context is Fig12 with run control threaded into each per-budget
-// exploration.
-func Fig12Context(ctx context.Context) (*Fig12Result, error) {
-	return Fig12Run(ctx, TransientOptions{})
-}
-
-// Fig12Run fans the per-budget explorations out over opt.Workers; the
-// crossover scan runs on the merged, budget-ordered points, so the result
-// matches the serial sweep for every worker count.
+// Fig12Run sweeps the area budget for the case-study operating point. The
+// per-budget explorations fan out over opt.Workers; the crossover scan
+// runs on the merged, budget-ordered points, so the result matches the
+// serial sweep for every worker count.
 func Fig12Run(ctx context.Context, opt TransientOptions) (*Fig12Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	cs, err := NewCaseSystem()
 	if err != nil {
 		return nil, err

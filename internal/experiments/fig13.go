@@ -25,20 +25,12 @@ type Fig13Result struct {
 	BestConfig string
 }
 
-// Fig13 computes the power breakdowns. The noise analysis (Fig. 10) is
-// re-run at a reduced span to extract guardbands; pass a pre-computed
-// result to reuse it.
-func Fig13(noise *Fig10Result) (*Fig13Result, error) {
-	return Fig13Run(context.Background(), noise, TransientOptions{})
-}
-
-// Fig13Run fans the margin-aware IVR re-explorations out over opt.Workers,
-// then computes the breakdowns in configuration order, so results match
-// the serial path bit-for-bit at every worker count.
+// Fig13Run computes the power breakdowns. A nil noise re-runs the noise
+// analysis (Fig. 10) with opt to extract guardbands; pass a pre-computed
+// result to reuse it. The margin-aware IVR re-explorations fan out over
+// opt.Workers and the breakdowns follow in configuration order, so results
+// match the serial path bit-for-bit at every worker count.
 func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*Fig13Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	cs, err := NewCaseSystem()
 	if err != nil {
 		return nil, err

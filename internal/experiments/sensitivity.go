@@ -32,17 +32,9 @@ type VariationResult struct {
 	FailFraction float64
 }
 
-// Variation runs the Monte-Carlo study.
-func Variation(samples int, sigma float64) (*VariationResult, error) {
-	return VariationContext(context.Background(), samples, sigma)
-}
-
-// VariationContext is Variation with run control: it cancels the baseline
+// VariationContext runs the Monte-Carlo study. ctx cancels the baseline
 // exploration and is re-checked between Monte-Carlo samples.
 func VariationContext(ctx context.Context, samples int, sigma float64) (*VariationResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if samples <= 0 {
 		samples = 200
 	}
@@ -163,13 +155,8 @@ type NodeSweepResult struct {
 	Rows []NodeSweepRow
 }
 
-// NodeSweep runs the per-node exploration.
-func NodeSweep() (*NodeSweepResult, error) {
-	return NodeSweepContext(context.Background())
-}
-
-// NodeSweepContext is NodeSweep with run control threaded into each
-// per-node exploration.
+// NodeSweepContext runs the per-node exploration, with run control
+// threaded into each per-node exploration.
 func NodeSweepContext(ctx context.Context) (*NodeSweepResult, error) {
 	out := &NodeSweepResult{}
 	for _, name := range tech.Nodes() {
@@ -177,7 +164,7 @@ func NodeSweepContext(ctx context.Context) (*NodeSweepResult, error) {
 		spec.Context = ctx
 		row := NodeSweepRow{Node: name}
 		res, err := core.Explore(spec)
-		if err != nil && ctx != nil && ctx.Err() != nil {
+		if err != nil && ctx.Err() != nil {
 			// Cancellation, not an infeasible node: stop the sweep.
 			return nil, ctx.Err()
 		}

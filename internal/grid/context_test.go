@@ -9,7 +9,7 @@ import (
 
 // TestPlaceIVRsContextCancelled checks run control on the placement
 // heuristic: a cancelled context aborts with ctx.Err(), an uncancelled one
-// reproduces PlaceIVRs bit-identically.
+// returns the pinned placement of TestPlaceIVRsUnchangedByCachedSolver.
 func TestPlaceIVRsContextCancelled(t *testing.T) {
 	m, err := NewMesh(16, 16, 0.05)
 	if err != nil {
@@ -21,16 +21,13 @@ func TestPlaceIVRsContextCancelled(t *testing.T) {
 	if _, err := m.PlaceIVRsContext(ctx, 4, cores); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled PlaceIVRsContext returned %v, want context.Canceled", err)
 	}
-	want, err := m.PlaceIVRs(4, cores)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := []Point{{4, 4}, {12, 4}, {4, 12}, {12, 12}}
 	got, err := m.PlaceIVRsContext(context.Background(), 4, cores)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("context path placed %d taps, plain path %d", len(got), len(want))
+		t.Fatalf("placed %d taps, want %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
@@ -40,24 +37,31 @@ func TestPlaceIVRsContextCancelled(t *testing.T) {
 }
 
 // TestWorstCaseResistanceContextCancelled checks the per-core fan-out
-// honors cancellation and the nil-context path matches the plain entry.
+// honors cancellation and the uncancelled path matches a serial scan.
 func TestWorstCaseResistanceContextCancelled(t *testing.T) {
 	m, err := NewMesh(12, 12, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cores := m.QuadCores()
-	taps := []Point{{6, 6}}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := m.WorstCaseResistanceContext(ctx, taps, cores); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled WorstCaseResistanceContext returned %v, want context.Canceled", err)
-	}
-	plain, err := m.WorstCaseResistance(taps, cores)
+	s, err := m.NewSolver([]Point{{6, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := m.WorstCaseResistanceContext(context.Background(), taps, cores)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.WorstCaseResistanceContext(ctx, cores); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled WorstCaseResistanceContext returned %v, want context.Canceled", err)
+	}
+	plain := 0.0
+	for _, c := range cores {
+		r, err := s.EffectiveResistance(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain = math.Max(plain, r)
+	}
+	withCtx, err := s.WorstCaseResistanceContext(context.Background(), cores)
 	if err != nil {
 		t.Fatal(err)
 	}

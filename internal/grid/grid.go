@@ -64,42 +64,6 @@ func (m *Mesh) inBounds(p Point) bool {
 	return p.X >= 0 && p.X < m.W && p.Y >= 0 && p.Y < m.H
 }
 
-// laplacian builds the mesh conductance matrix with the tap nodes tied to
-// the reference through a very large conductance (ideal regulators).
-func (m *Mesh) laplacian(taps []Point) (*numeric.SparseMatrix, error) {
-	if len(taps) == 0 {
-		return nil, fmt.Errorf("grid: at least one regulator tap is required")
-	}
-	n := m.W * m.H
-	sm := numeric.NewSparseMatrix(n)
-	g := 1 / m.RTile
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			i := m.idx(Point{x, y})
-			if x+1 < m.W {
-				j := m.idx(Point{x + 1, y})
-				sm.AddDiag(i, g)
-				sm.AddDiag(j, g)
-				sm.AddSym(i, j, -g)
-			}
-			if y+1 < m.H {
-				j := m.idx(Point{x, y + 1})
-				sm.AddDiag(i, g)
-				sm.AddDiag(j, g)
-				sm.AddSym(i, j, -g)
-			}
-		}
-	}
-	gTap := g * 1e7 // taps are ~ideal vs the mesh links
-	for _, t := range taps {
-		if !m.inBounds(t) {
-			return nil, fmt.Errorf("grid: tap %v outside the %dx%d mesh", t, m.W, m.H)
-		}
-		sm.AddDiag(m.idx(t), gTap)
-	}
-	return sm, nil
-}
-
 // sparseBase returns the cached tapless Laplacian in mesh row-major order,
 // assembling it on first use.
 func (m *Mesh) sparseBase() *numeric.SparseMatrix {
@@ -176,57 +140,14 @@ func (m *Mesh) bandBase() (*numeric.SymBand, error) {
 	return m.bandLap, nil
 }
 
-// EffectiveResistance returns the small-signal resistance seen by a load at
-// p with all taps regulating: inject 1 A at p, read the potential. One-shot
-// convenience; batch callers should build a Solver and reuse it.
-func (m *Mesh) EffectiveResistance(taps []Point, p Point) (float64, error) {
-	s, err := m.NewSolver(taps)
-	if err != nil {
-		return 0, err
-	}
-	return s.EffectiveResistance(p)
-}
-
-// IRDrop solves the full mesh with per-core load currents and returns each
-// core's voltage drop below the regulated level (V).
-func (m *Mesh) IRDrop(taps []Point, cores []Point, currents []float64) ([]float64, error) {
-	s, err := m.NewSolver(taps)
-	if err != nil {
-		return nil, err
-	}
-	return s.IRDrop(cores, currents)
-}
-
-// WorstCaseResistance returns the largest effective resistance over the
-// given core sites.
-func (m *Mesh) WorstCaseResistance(taps, cores []Point) (float64, error) {
-	return m.WorstCaseResistanceContext(nil, taps, cores)
-}
-
-// WorstCaseResistanceContext is WorstCaseResistance with run control: a
-// cancelled ctx (nil selects the background context) stops the per-core
-// fan-out and returns ctx.Err().
-func (m *Mesh) WorstCaseResistanceContext(ctx context.Context, taps, cores []Point) (float64, error) {
-	s, err := m.NewSolver(taps)
-	if err != nil {
-		return 0, err
-	}
-	return s.WorstCaseResistanceContext(ctx, cores)
-}
-
-// PlaceIVRs picks n tap sites minimizing the worst-case effective
+// PlaceIVRsContext picks n tap sites minimizing the worst-case effective
 // resistance over the core sites, by greedy farthest-point-style selection
 // over a candidate lattice followed by exact evaluation. It is a floorplan
-// heuristic, not an optimizer — good placements, deterministically.
-func (m *Mesh) PlaceIVRs(n int, cores []Point) ([]Point, error) {
-	return m.PlaceIVRsContext(nil, n, cores)
-}
-
-// PlaceIVRsContext is PlaceIVRs with run control: a cancelled ctx (nil
-// selects the background context) stops the candidate scoring fan-out
-// between solves and returns ctx.Err(). Uncancelled, the placement is
-// bit-identical to PlaceIVRs for every worker schedule — candidates are
-// reduced in scan order after the parallel scoring round.
+// heuristic, not an optimizer — good placements, deterministically. A
+// cancelled ctx stops the candidate scoring fan-out between solves and
+// returns ctx.Err(). Uncancelled, the placement is bit-identical for every
+// worker schedule — candidates are reduced in scan order after the
+// parallel scoring round.
 func (m *Mesh) PlaceIVRsContext(ctx context.Context, n int, cores []Point) ([]Point, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("grid: need at least one IVR")

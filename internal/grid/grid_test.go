@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -26,11 +27,30 @@ func TestNewMeshValidation(t *testing.T) {
 	}
 }
 
+// worstCase returns the largest effective resistance over cores with the
+// regulators at taps.
+func worstCase(t *testing.T, m *Mesh, taps, cores []Point) float64 {
+	t.Helper()
+	s, err := m.NewSolver(taps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.WorstCaseResistanceContext(context.Background(), cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestEffectiveResistanceBasics(t *testing.T) {
 	m := mesh(t, 16, 16)
 	tap := Point{8, 8}
+	s, err := m.NewSolver([]Point{tap})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Load at the tap itself: essentially zero resistance.
-	r0, err := m.EffectiveResistance([]Point{tap}, tap)
+	r0, err := s.EffectiveResistance(tap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +58,11 @@ func TestEffectiveResistanceBasics(t *testing.T) {
 		t.Errorf("resistance at the tap should be ~0, got %v", r0)
 	}
 	// Resistance grows with distance from the tap.
-	rNear, err := m.EffectiveResistance([]Point{tap}, Point{9, 8})
+	rNear, err := s.EffectiveResistance(Point{9, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rFar, err := m.EffectiveResistance([]Point{tap}, Point{15, 15})
+	rFar, err := s.EffectiveResistance(Point{15, 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +70,13 @@ func TestEffectiveResistanceBasics(t *testing.T) {
 		t.Errorf("resistance should grow with distance: %v, %v, %v", r0, rNear, rFar)
 	}
 	// Bounds checks.
-	if _, err := m.EffectiveResistance([]Point{tap}, Point{99, 0}); err == nil {
+	if _, err := s.EffectiveResistance(Point{99, 0}); err == nil {
 		t.Error("out-of-bounds load must fail")
 	}
-	if _, err := m.EffectiveResistance([]Point{{99, 99}}, tap); err == nil {
+	if _, err := m.NewSolver([]Point{{99, 99}}); err == nil {
 		t.Error("out-of-bounds tap must fail")
 	}
-	if _, err := m.EffectiveResistance(nil, tap); err == nil {
+	if _, err := m.NewSolver(nil); err == nil {
 		t.Error("no taps must fail")
 	}
 }
@@ -67,20 +87,11 @@ func TestDistributionScaling(t *testing.T) {
 	m := mesh(t, 24, 24)
 	cores := m.QuadCores()
 	center := []Point{{12, 12}}
-	r1, err := m.WorstCaseResistance(center, cores)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := worstCase(t, m, center, cores)
 	// Two taps on the diagonal.
-	r2, err := m.WorstCaseResistance([]Point{{6, 6}, {18, 18}}, cores)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := worstCase(t, m, []Point{{6, 6}, {18, 18}}, cores)
 	// Four taps at the quadrant centers (co-located with the cores).
-	r4, err := m.WorstCaseResistance(cores, cores)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r4 := worstCase(t, m, cores, cores)
 	t.Logf("R_eff: centralized %.4f, 2 taps %.4f, 4 taps %.4f", r1, r2, r4)
 	if !(r1 > r2 && r2 > r4) {
 		t.Errorf("distribution should reduce grid resistance: %v, %v, %v", r1, r2, r4)
@@ -94,14 +105,17 @@ func TestDistributionScaling(t *testing.T) {
 
 func TestIRDropSuperposition(t *testing.T) {
 	m := mesh(t, 16, 16)
-	taps := []Point{{0, 0}}
-	cores := []Point{{8, 8}, {15, 15}}
-	// Linearity: doubling all currents doubles every drop.
-	d1, err := m.IRDrop(taps, cores, []float64{1, 2})
+	s, err := m.NewSolver([]Point{{0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := m.IRDrop(taps, cores, []float64{2, 4})
+	cores := []Point{{8, 8}, {15, 15}}
+	// Linearity: doubling all currents doubles every drop.
+	d1, err := irDrop(s, cores, []float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := irDrop(s, cores, []float64{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +125,7 @@ func TestIRDropSuperposition(t *testing.T) {
 		}
 	}
 	// Mismatched lengths.
-	if _, err := m.IRDrop(taps, cores, []float64{1}); err == nil {
+	if _, err := irDrop(s, cores, []float64{1}); err == nil {
 		t.Error("length mismatch must fail")
 	}
 }
@@ -119,37 +133,29 @@ func TestIRDropSuperposition(t *testing.T) {
 func TestPlaceIVRsImproves(t *testing.T) {
 	m := mesh(t, 24, 24)
 	cores := m.QuadCores()
-	taps1, err := m.PlaceIVRs(1, cores)
+	ctx := context.Background()
+	taps1, err := m.PlaceIVRsContext(ctx, 1, cores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	taps4, err := m.PlaceIVRs(4, cores)
+	taps4, err := m.PlaceIVRsContext(ctx, 4, cores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := m.WorstCaseResistance(taps1, cores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := m.WorstCaseResistance(taps4, cores)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := worstCase(t, m, taps1, cores)
+	r4 := worstCase(t, m, taps4, cores)
 	if r4 >= r1 {
 		t.Errorf("4 placed IVRs should beat 1: %v vs %v", r4, r1)
 	}
 	// A corner placement must be worse than the heuristic's choice.
-	rCorner, err := m.WorstCaseResistance([]Point{{0, 0}}, cores)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rCorner := worstCase(t, m, []Point{{0, 0}}, cores)
 	if r1 > rCorner {
 		t.Errorf("heuristic single placement %v worse than a corner %v", r1, rCorner)
 	}
-	if _, err := m.PlaceIVRs(0, cores); err == nil {
+	if _, err := m.PlaceIVRsContext(ctx, 0, cores); err == nil {
 		t.Error("zero IVRs must fail")
 	}
-	if _, err := m.PlaceIVRs(1, nil); err == nil {
+	if _, err := m.PlaceIVRsContext(ctx, 1, nil); err == nil {
 		t.Error("no cores must fail")
 	}
 }

@@ -118,7 +118,7 @@ func TestEfficiencyCurveIsLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vout, eff := d.EfficiencyCurve(1.0, 0.5, 1.5, 11)
+	vout, eff := efficiencyCurve(d, 1.0, 0.5, 1.5, 11)
 	if len(vout) < 10 {
 		t.Fatalf("curve too short: %d", len(vout))
 	}
@@ -171,4 +171,25 @@ func TestDefaultsApplied(t *testing.T) {
 	if !numeric.ApproxEqual(got.CurrentEfficiency, defaultEtaI, 0) || got.Interleave != 1 {
 		t.Errorf("defaults not applied: %+v", got)
 	}
+}
+
+// efficiencyCurve sweeps the regulation target from vLo to vHi at fixed
+// load and returns the achieved V_out and efficiency of every feasible
+// point.
+func efficiencyCurve(d *Design, iLoad, vLo, vHi float64, points int) (vout, eff []float64) {
+	for k := 0; k < points; k++ {
+		cfg := d.Config()
+		cfg.VOut = vLo + (vHi-vLo)*float64(k)/float64(points-1)
+		dd, err := New(cfg)
+		if err != nil {
+			continue
+		}
+		m, err := dd.Evaluate(iLoad)
+		if err != nil {
+			continue
+		}
+		vout = append(vout, m.VOut)
+		eff = append(eff, m.Efficiency)
+	}
+	return vout, eff
 }

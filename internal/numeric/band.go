@@ -30,12 +30,6 @@ func NewSymBand(n, bw int) (*SymBand, error) {
 	return &SymBand{n: n, bw: bw, a: make([]float64, n*(bw+1))}, nil
 }
 
-// N returns the dimension.
-func (s *SymBand) N() int { return s.n }
-
-// Bandwidth returns the (half-)bandwidth.
-func (s *SymBand) Bandwidth() int { return s.bw }
-
 // Add accumulates v onto entry (i, j); only the lower triangle is stored,
 // so callers add each symmetric pair once with i >= j.
 func (s *SymBand) Add(i, j int, v float64) {

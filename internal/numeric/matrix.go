@@ -134,18 +134,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return m
 }
 
-// AddMatrix returns m + b as a new matrix.
-func (m *Matrix) AddMatrix(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("numeric: shape mismatch in AddMatrix")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
-	return out
-}
-
 // ErrSingular is returned when a linear system has no unique solution within
 // the pivot tolerance.
 var ErrSingular = errors.New("numeric: matrix is singular to working precision")
@@ -155,7 +143,6 @@ type LU struct {
 	n    int
 	lu   []float64 // packed L (unit diagonal, below) and U (on/above)
 	perm []int     // row permutation
-	sign int
 }
 
 // Factorize computes the LU factorization of the square matrix a. The input
@@ -165,7 +152,7 @@ func Factorize(a *Matrix) (*LU, error) {
 		return nil, fmt.Errorf("numeric: Factorize needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	f := &LU{n: n, lu: make([]float64, n*n), perm: make([]int, n), sign: 1}
+	f := &LU{n: n, lu: make([]float64, n*n), perm: make([]int, n)}
 	copy(f.lu, a.Data)
 	for i := range f.perm {
 		f.perm[i] = i
@@ -186,7 +173,6 @@ func Factorize(a *Matrix) (*LU, error) {
 				f.lu[p*n+j], f.lu[k*n+j] = f.lu[k*n+j], f.lu[p*n+j]
 			}
 			f.perm[p], f.perm[k] = f.perm[k], f.perm[p]
-			f.sign = -f.sign
 		}
 		piv := f.lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -238,15 +224,6 @@ func (f *LU) SolveInto(x, b []float64) []float64 {
 		x[i] = s / f.lu[i*n+i]
 	}
 	return x
-}
-
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
 }
 
 // SolveLinear solves the square system a*x = b in one call.

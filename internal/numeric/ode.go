@@ -2,56 +2,19 @@ package numeric
 
 import "fmt"
 
-// DerivFunc computes dx/dt = f(t, x) into dst. dst and x have the same
-// length; implementations must not retain either slice.
-type DerivFunc func(t float64, x, dst []float64)
-
-// RK4Step advances the ODE dx/dt = f(t, x) by one classical Runge-Kutta step
-// of size h, writing the result into x in place. scratch must provide at
-// least 5*len(x) float64s of workspace (allocated by the caller so that tight
-// simulation loops stay allocation-free).
-func RK4Step(f DerivFunc, t float64, x []float64, h float64, scratch []float64) {
-	n := len(x)
-	if len(scratch) < 5*n {
-		panic(fmt.Sprintf("numeric: RK4Step scratch too small: %d < %d", len(scratch), 5*n))
-	}
-	k1 := scratch[0*n : 1*n]
-	k2 := scratch[1*n : 2*n]
-	k3 := scratch[2*n : 3*n]
-	k4 := scratch[3*n : 4*n]
-	tmp := scratch[4*n : 5*n]
-
-	f(t, x, k1)
-	for i := 0; i < n; i++ {
-		tmp[i] = x[i] + 0.5*h*k1[i]
-	}
-	f(t+0.5*h, tmp, k2)
-	for i := 0; i < n; i++ {
-		tmp[i] = x[i] + 0.5*h*k2[i]
-	}
-	f(t+0.5*h, tmp, k3)
-	for i := 0; i < n; i++ {
-		tmp[i] = x[i] + h*k3[i]
-	}
-	f(t+h, tmp, k4)
-	for i := 0; i < n; i++ {
-		x[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
-	}
-}
-
 // LinearSystem describes the LTI state-space system
 //
 //	dx/dt = A*x + B*u(t)
 //
 // integrated with the unconditionally stable trapezoidal rule. Circuit
-// networks (PDNs with decaps) are stiff — explicit RK4 would need steps at
-// the smallest parasitic time constant — so the implicit trapezoidal method
-// is the workhorse for PDN transients, exactly as in SPICE.
+// networks (PDNs with decaps) are stiff — an explicit method would need
+// steps at the smallest parasitic time constant — so the implicit
+// trapezoidal method is the workhorse for PDN transients, exactly as in
+// SPICE.
 type LinearSystem struct {
 	A *Matrix
 	B *Matrix
 
-	h float64
 	// Precomputed trapezoidal propagators: one step is
 	//
 	//	x_{k+1} = prop·x_k + bprop·u_k + bprop·u_{k+1}
@@ -96,7 +59,7 @@ func NewLinearSystem(a, b *Matrix, h float64) (*LinearSystem, error) {
 	}
 	bh := b.Clone().Scale(h / 2)
 	s := &LinearSystem{
-		A: a, B: b, h: h,
+		A: a, B: b,
 		prop:  NewMatrix(n, n),
 		bprop: NewMatrix(n, b.Cols),
 		rhs:   make([]float64, n),
@@ -139,6 +102,3 @@ func (s *LinearSystem) Step(x, u0, u1 []float64) {
 		x[i] = s.rhs[i] + s.bu0[i] + s.bu1[i]
 	}
 }
-
-// StepSize returns the fixed step the system was prepared with.
-func (s *LinearSystem) StepSize() float64 { return s.h }

@@ -1,9 +1,14 @@
 package numeric
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
+
+// ErrNoConverge is returned when an iterative method exhausts its iteration
+// budget without meeting the tolerance.
+var ErrNoConverge = errors.New("numeric: iteration did not converge")
 
 // SparseMatrix is a symmetric positive-definite matrix in coordinate/CSR
 // hybrid form, built incrementally and solved with conjugate gradients.
@@ -27,9 +32,6 @@ func NewSparseMatrix(n int) *SparseMatrix {
 		vals: make([][]float64, n),
 	}
 }
-
-// N returns the dimension.
-func (m *SparseMatrix) N() int { return m.n }
 
 // Clone returns an independent deep copy. The grid solver assembles a
 // mesh Laplacian once and clones it per regulator tap set (taps only

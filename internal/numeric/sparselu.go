@@ -51,7 +51,6 @@ const pivotTiny = 1e-300
 type Symbolic struct {
 	n    int
 	perm []int  // row permutation: factored row i holds input row perm[i]
-	sign int    // determinant sign of the permutation
 	mask []bool // mask[i*n+j]: position (i,j) is inside the L+U pattern
 
 	// Index lists driving the pruned loops, all in post-permutation row
@@ -61,27 +60,12 @@ type Symbolic struct {
 	lrow [][]int32 // per row i: cols j < i with L[i,j] structurally nonzero
 }
 
-// N returns the matrix dimension.
-func (s *Symbolic) N() int { return s.n }
-
-// NNZ returns the number of structurally nonzero positions in L+U,
-// including fill-in — the quantity refactorization cost scales with.
-func (s *Symbolic) NNZ() int {
-	nnz := 0
-	for _, b := range s.mask {
-		if b {
-			nnz++
-		}
-	}
-	return nnz
-}
-
 // buildSymbolic assembles the index lists from a completed structural
-// elimination: B is the final L+U pattern (post-permutation), perm/sign
-// the recorded pivot outcome.
-func buildSymbolic(n int, B []bool, perm []int, sign int) *Symbolic {
+// elimination: B is the final L+U pattern (post-permutation), perm the
+// recorded pivot order.
+func buildSymbolic(n int, B []bool, perm []int) *Symbolic {
 	s := &Symbolic{
-		n: n, perm: perm, sign: sign, mask: B,
+		n: n, perm: perm, mask: B,
 		lcol: make([][]int32, n),
 		urow: make([][]int32, n),
 		lrow: make([][]int32, n),
@@ -143,7 +127,6 @@ func (f *SparseLU) pivotingFactor(n int) error {
 	for i := range perm {
 		perm[i] = i
 	}
-	sign := 1
 	lu := f.lu
 	for k := 0; k < n; k++ {
 		p, maxAbs := k, math.Abs(lu[k*n+k])
@@ -161,7 +144,6 @@ func (f *SparseLU) pivotingFactor(n int) error {
 				B[p*n+j], B[k*n+j] = B[k*n+j], B[p*n+j]
 			}
 			perm[p], perm[k] = perm[k], perm[p]
-			sign = -sign
 		}
 		piv := lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -182,17 +164,9 @@ func (f *SparseLU) pivotingFactor(n int) error {
 			}
 		}
 	}
-	f.sym = buildSymbolic(n, B, perm, sign)
+	f.sym = buildSymbolic(n, B, perm)
 	return nil
 }
-
-// Symbolic returns the factorization's current symbolic structure.
-func (f *SparseLU) Symbolic() *Symbolic { return f.sym }
-
-// Repivots reports how many Refactor calls had to abandon the frozen
-// pivot order and re-run the full pivot search (pattern escape or pivot
-// degradation past the threshold-pivoting tolerance).
-func (f *SparseLU) Repivots() int { return f.repivots }
 
 // Fork returns a new factorization handle sharing this one's symbolic
 // structure but with independent value storage. The fork holds no values
@@ -270,12 +244,6 @@ func (f *SparseLU) refactorFresh(a *Matrix) error {
 	return f.pivotingFactor(n)
 }
 
-// Solve solves A*x = b against the last refactorization. b is not
-// modified.
-func (f *SparseLU) Solve(b []float64) []float64 {
-	return f.SolveInto(make([]float64, f.sym.n), b)
-}
-
 // SolveInto solves A*x = b into x and returns x, via pattern-pruned
 // forward and back substitution. b is not modified; x must not alias b.
 // It allocates nothing.
@@ -310,16 +278,6 @@ func (f *SparseLU) SolveInto(x, b []float64) []float64 {
 	return x
 }
 
-// Det returns the determinant from the last refactorization.
-func (f *SparseLU) Det() float64 {
-	d := float64(f.sym.sign)
-	n := f.sym.n
-	for i := 0; i < n; i++ {
-		d *= f.lu[i*n+i]
-	}
-	return d
-}
-
 // ComplexLU is the complex-valued twin of SparseLU, sharing the same
 // symbolic machinery. The MNA AC sweep has one pattern across all
 // frequencies (admittance values move, positions do not), so the kernel
@@ -329,9 +287,8 @@ func (f *SparseLU) Det() float64 {
 // magnitudes), the factorization transparently re-pivots and carries the
 // refreshed order to subsequent frequencies.
 type ComplexLU struct {
-	sym      *Symbolic
-	lu       []complex128
-	repivots int
+	sym *Symbolic
+	lu  []complex128
 }
 
 // NewComplexLU factorizes the dense row-major n-by-n complex matrix a
@@ -358,7 +315,6 @@ func (f *ComplexLU) pivotingFactor(n int) error {
 	for i := range perm {
 		perm[i] = i
 	}
-	sign := 1
 	lu := f.lu
 	for k := 0; k < n; k++ {
 		p, maxAbs := k, cmplx.Abs(lu[k*n+k])
@@ -376,7 +332,6 @@ func (f *ComplexLU) pivotingFactor(n int) error {
 				B[p*n+j], B[k*n+j] = B[k*n+j], B[p*n+j]
 			}
 			perm[p], perm[k] = perm[k], perm[p]
-			sign = -sign
 		}
 		piv := lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -397,16 +352,9 @@ func (f *ComplexLU) pivotingFactor(n int) error {
 			}
 		}
 	}
-	f.sym = buildSymbolic(n, B, perm, sign)
+	f.sym = buildSymbolic(n, B, perm)
 	return nil
 }
-
-// Symbolic returns the factorization's current symbolic structure.
-func (f *ComplexLU) Symbolic() *Symbolic { return f.sym }
-
-// Repivots reports how many Refactor calls fell back to a full pivot
-// search.
-func (f *ComplexLU) Repivots() int { return f.repivots }
 
 // Refactor refactorizes the dense row-major matrix a, which must share
 // the recorded pattern, into the existing storage; it allocates nothing
@@ -469,14 +417,7 @@ func (f *ComplexLU) refactorFresh(a []complex128) error {
 		f.lu = make([]complex128, nsq)
 	}
 	copy(f.lu, a)
-	f.repivots++
 	return f.pivotingFactor(n)
-}
-
-// Solve solves A*x = b against the last refactorization. b is not
-// modified.
-func (f *ComplexLU) Solve(b []complex128) []complex128 {
-	return f.SolveInto(make([]complex128, f.sym.n), b)
 }
 
 // SolveInto solves A*x = b into x and returns x, via pattern-pruned

@@ -63,16 +63,12 @@ func TestSparseLUMatchesDenseBitwise(t *testing.T) {
 		}
 		b := randRHS(rng, m.Rows)
 		want := dense.Solve(b)
-		got := sp.Solve(b)
+		got := sp.SolveInto(make([]float64, m.Rows), b)
 		for i := range want {
 			//lint:ignore floatcmp the kernel's contract is exact bitwise identity with the dense path
 			if got[i] != want[i] {
 				t.Fatalf("trial %d: x[%d] = %v, dense %v (must be bit-identical)", trial, i, got[i], want[i])
 			}
-		}
-		//lint:ignore floatcmp determinant must match the dense path bit-for-bit
-		if d, dd := sp.Det(), dense.Det(); d != dd {
-			t.Fatalf("trial %d: Det %v vs dense %v", trial, d, dd)
 		}
 	}
 }
@@ -93,8 +89,8 @@ func TestRefactorSameValuesBitIdentical(t *testing.T) {
 	if err := sp.Refactor(m); err != nil {
 		t.Fatal(err)
 	}
-	if sp.Repivots() != 0 {
-		t.Fatalf("same-value refactor re-pivoted %d times", sp.Repivots())
+	if sp.repivots != 0 {
+		t.Fatalf("same-value refactor re-pivoted %d times", sp.repivots)
 	}
 	b := randRHS(rng, m.Rows)
 	x := make([]float64, m.Rows)
@@ -166,7 +162,7 @@ func TestRefactorPatternEscapeFallsBack(t *testing.T) {
 	added := false
 	for i := 0; i < 10 && !added; i++ {
 		for j := 0; j < 10 && !added; j++ {
-			if i != j && m2.At(i, j) == 0 && !sp.Symbolic().mask[i*m2.Cols+j] {
+			if i != j && m2.At(i, j) == 0 && !sp.sym.mask[i*m2.Cols+j] {
 				m2.Set(i, j, 3)
 				m2.Set(j, i, 3)
 				m2.Add(i, i, 3)
@@ -181,7 +177,7 @@ func TestRefactorPatternEscapeFallsBack(t *testing.T) {
 	if err := sp.Refactor(m2); err != nil {
 		t.Fatal(err)
 	}
-	if sp.Repivots() == 0 {
+	if sp.repivots == 0 {
 		t.Fatal("pattern escape did not trigger a re-pivot")
 	}
 	dense, err := Factorize(m2)
@@ -231,7 +227,7 @@ func TestRefactorPivotDegradationRepivots(t *testing.T) {
 	x := make([]float64, 4)
 	sp.SolveInto(x, b)
 	if e := relErr(x, dense.Solve(b)); e > 1e-9 {
-		t.Fatalf("degraded-pivot refactor drifted from dense by %g (repivots %d)", e, sp.Repivots())
+		t.Fatalf("degraded-pivot refactor drifted from dense by %g (repivots %d)", e, sp.repivots)
 	}
 }
 
@@ -269,15 +265,15 @@ func TestForkIndependence(t *testing.T) {
 		}
 	}
 	fork := sp.Fork()
-	if fork.Symbolic() != sp.Symbolic() {
+	if fork.sym != sp.sym {
 		t.Fatal("fork must share the symbolic structure")
 	}
 	if err := fork.Refactor(m2); err != nil {
 		t.Fatal(err)
 	}
 	b := randRHS(rng, m.Rows)
-	x1 := sp.Solve(b)
-	x2 := fork.Solve(b)
+	x1 := sp.SolveInto(make([]float64, len(b)), b)
+	x2 := fork.SolveInto(make([]float64, len(b)), b)
 	d1, _ := Factorize(m)
 	d2, _ := Factorize(m2)
 	if e := relErr(x1, d1.Solve(b)); e > 1e-12 {
@@ -316,13 +312,13 @@ func TestSymbolicNNZ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nnz := sp.Symbolic().NNZ()
+	count := nnz(sp.sym)
 	dim := m.Rows
-	if nnz <= 0 || nnz > dim*dim {
-		t.Fatalf("NNZ = %d out of range (dim %d)", nnz, dim)
+	if count <= 0 || count > dim*dim {
+		t.Fatalf("NNZ = %d out of range (dim %d)", count, dim)
 	}
-	if sp.Symbolic().N() != dim {
-		t.Fatalf("N = %d, want %d", sp.Symbolic().N(), dim)
+	if sp.sym.n != dim {
+		t.Fatalf("N = %d, want %d", sp.sym.n, dim)
 	}
 }
 
@@ -409,7 +405,7 @@ func TestComplexLUFrequencySweepEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First factorization is the dense algorithm: bit-identical solve.
-	got := cf.Solve(b)
+	got := cf.SolveInto(make([]complex128, len(b)), b)
 	want := denseComplexSolve(t, first, b, n)
 	for i := range want {
 		if got[i] != want[i] {
@@ -510,4 +506,16 @@ func BenchmarkSparseLURefactorSolve(b *testing.B) {
 		}
 		f.SolveInto(x, rhs)
 	}
+}
+
+// nnz returns the number of structurally nonzero positions in L+U,
+// including fill-in — the quantity refactorization cost scales with.
+func nnz(s *Symbolic) int {
+	count := 0
+	for _, b := range s.mask {
+		if b {
+			count++
+		}
+	}
+	return count
 }

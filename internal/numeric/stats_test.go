@@ -106,14 +106,6 @@ func TestPeakToPeakInvariance(t *testing.T) {
 	}
 }
 
-func TestGoldenSection(t *testing.T) {
-	// Minimum of (x-3)^2 + 1.
-	xm := GoldenSectionMin(func(x float64) float64 { return (x-3)*(x-3) + 1 }, 0, 10, 1e-9)
-	if math.Abs(xm-3) > 1e-6 {
-		t.Errorf("GoldenSectionMin = %v", xm)
-	}
-}
-
 // sortedSummary is the pre-selection reference implementation: full sort,
 // then quantile interpolation on the sorted data. SummarizeInPlace must
 // reproduce its order statistics exactly.

@@ -6,7 +6,7 @@
 //
 // ForContext adds the run-control contract on top: a panic inside any job
 // is recovered, tagged with its job index, and re-raised exactly once on
-// the caller's goroutine (a bare For/go panic would kill the process from
+// the caller's goroutine (a bare go panic would kill the process from
 // an anonymous goroutine with no indication of which job died), and
 // cancelling the context stops the dispatch of new jobs — in-flight jobs
 // drain, then ctx.Err() is returned.
@@ -38,21 +38,13 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: job %d panicked: %v", e.Index, e.Value)
 }
 
-// For runs fn(i) for every i in [0, n), spread over min(workers, n)
-// goroutines. workers <= 0 selects runtime.NumCPU(); workers == 1 runs the
-// loop inline with no goroutines (the serial reference path). fn must be
-// safe for concurrent invocation and must confine its writes to data owned
-// by index i. A panic in fn surfaces on the caller's goroutine as a
-// *PanicError (see ForContext).
-func For(n, workers int, fn func(int)) {
-	// context.Background() is never cancelled, so the error is always nil.
-	_ = ForContext(context.Background(), n, workers, fn)
-}
-
-// ForContext is For with run control. Scheduling is identical to For —
-// an atomic index counter feeding min(workers, n) goroutines, workers == 1
-// running inline in ascending order — so results written to per-index
-// slots stay bit-identical to the serial path for every worker count.
+// ForContext runs fn(i) for every i in [0, n), spread over min(workers, n)
+// goroutines fed by an atomic index counter. workers <= 0 selects
+// runtime.NumCPU(); workers == 1 runs the loop inline in ascending order
+// with no goroutines (the serial reference path). fn must be safe for
+// concurrent invocation and must confine its writes to data owned by index
+// i, so results written to per-index slots stay bit-identical to the serial
+// path for every worker count.
 //
 // Two behaviours are layered on top:
 //
@@ -60,15 +52,11 @@ func For(n, workers int, fn func(int)) {
 //     its job index; remaining jobs are not dispatched, in-flight jobs
 //     finish, and the first recovered panic is re-raised exactly once on
 //     the caller's goroutine as a *PanicError.
-//   - Cancellation: when ctx (nil selects context.Background()) is
-//     cancelled, no new jobs are dispatched; after in-flight jobs drain,
-//     ctx.Err() is returned. Jobs that already completed have fully
-//     written their slots — the caller sees a clean prefix-of-work, never
-//     a torn write.
+//   - Cancellation: when ctx is cancelled, no new jobs are dispatched;
+//     after in-flight jobs drain, ctx.Err() is returned. Jobs that already
+//     completed have fully written their slots — the caller sees a clean
+//     prefix-of-work, never a torn write.
 func ForContext(ctx context.Context, n, workers int, fn func(int)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if n <= 0 {
 		return ctx.Err()
 	}

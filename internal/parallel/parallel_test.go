@@ -13,7 +13,7 @@ func TestForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 100} {
 		for _, n := range []int{0, 1, 5, 64, 1000} {
 			hits := make([]atomic.Int32, n)
-			For(n, workers, func(i int) { hits[i].Add(1) })
+			_ = ForContext(context.Background(), n, workers, func(i int) { hits[i].Add(1) })
 			for i := range hits {
 				if got := hits[i].Load(); got != 1 {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, got)
@@ -25,7 +25,7 @@ func TestForCoversAllIndices(t *testing.T) {
 
 func TestForSerialIsInOrder(t *testing.T) {
 	var order []int
-	For(10, 1, func(i int) { order = append(order, i) })
+	_ = ForContext(context.Background(), 10, 1, func(i int) { order = append(order, i) })
 	for i, v := range order {
 		if i != v {
 			t.Fatalf("serial path visited %v, want ascending order", order)
@@ -47,17 +47,6 @@ func TestForContextCoversAllIndices(t *testing.T) {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, got)
 			}
 		}
-	}
-}
-
-// TestForContextNilContext checks nil selects the background context.
-func TestForContextNilContext(t *testing.T) {
-	var ran atomic.Int32
-	if err := ForContext(nil, 3, 2, func(int) { ran.Add(1) }); err != nil {
-		t.Fatalf("nil ctx: %v", err)
-	}
-	if ran.Load() != 3 {
-		t.Fatalf("nil ctx ran %d of 3 jobs", ran.Load())
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"ivory/internal/numeric"
 )
@@ -62,13 +61,6 @@ func New(stages ...Stage) (*Network, error) {
 	return &Network{stages: cp}, nil
 }
 
-// Stages returns a copy of the ladder.
-func (n *Network) Stages() []Stage {
-	cp := make([]Stage, len(n.stages))
-	copy(cp, n.stages)
-	return cp
-}
-
 // TotalR returns the end-to-end series resistance (the DC IR-drop per
 // ampere).
 func (n *Network) TotalR() float64 {
@@ -98,30 +90,6 @@ func (n *Network) Impedance(f float64) complex128 {
 		z = z * zc / (z + zc)
 	}
 	return z
-}
-
-// ImpedanceMagnitude returns |Z(f)| in ohms.
-func (n *Network) ImpedanceMagnitude(f float64) float64 {
-	return cmplx.Abs(n.Impedance(f))
-}
-
-// ResonancePeak scans [fLo, fHi] logarithmically and returns the frequency
-// and magnitude of the largest impedance peak — the anti-resonance that
-// dominates first-droop noise.
-func (n *Network) ResonancePeak(fLo, fHi float64, points int) (f, z float64) {
-	if points < 2 {
-		points = 2
-	}
-	best := 0.0
-	fBest := fLo
-	for i := 0; i < points; i++ {
-		freq := fLo * math.Pow(fHi/fLo, float64(i)/float64(points-1))
-		m := n.ImpedanceMagnitude(freq)
-		if m > best {
-			best, fBest = m, freq
-		}
-	}
-	return fBest, best
 }
 
 // StateSpace returns the LTI realization of the ladder:
@@ -196,26 +164,22 @@ func (n *Network) StateSpace() (a, b *numeric.Matrix, cOut, dOut []float64) {
 	return a, b, cOut, dOut
 }
 
-// Transient simulates the load-node voltage for a piecewise-linear load
-// current trace iLoad(t) sampled at fixed step dt over [0, T], with a
-// constant source voltage. The network starts in DC steady state at
-// iLoad(0). It returns the sampled times and node voltages.
-func (n *Network) Transient(vSrc float64, iLoad func(t float64) float64, dt, T float64) (ts, vs []float64, err error) {
-	return n.TransientContext(context.Background(), vSrc, iLoad, dt, T, nil, nil)
-}
-
 // transientCancelStride is the number of trapezoidal steps between context
 // polls. A stride is a small fraction of one simulation cell, so cancellation
 // lands mid-cell instead of after it, while the poll itself stays invisible
 // in profiles.
 const transientCancelStride = 1024
 
-// TransientContext is Transient with run control and buffer reuse: ctx is
-// polled every transientCancelStride steps so a cancelled case-study cell
-// stops mid-trace, and tsBuf/vsBuf (may be nil) donate their capacity for the
-// returned slices, letting hot callers recycle trace storage across
-// simulations. On error the returned slices are nil and the buffers' contents
-// are unspecified.
+// TransientContext simulates the load-node voltage for a piecewise-linear
+// load current trace iLoad(t) sampled at fixed step dt over [0, T], with a
+// constant source voltage. The network starts in DC steady state at
+// iLoad(0). It returns the sampled times and node voltages.
+//
+// ctx is polled every transientCancelStride steps so a cancelled case-study
+// cell stops mid-trace, and tsBuf/vsBuf (may be nil) donate their capacity
+// for the returned slices, letting hot callers recycle trace storage across
+// simulations. On error the returned slices are nil and the buffers'
+// contents are unspecified.
 func (n *Network) TransientContext(ctx context.Context, vSrc float64, iLoad func(t float64) float64, dt, T float64, tsBuf, vsBuf []float64) (ts, vs []float64, err error) {
 	if dt <= 0 || T <= 0 {
 		return nil, nil, fmt.Errorf("pdn: dt and T must be positive")

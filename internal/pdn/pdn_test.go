@@ -1,7 +1,9 @@
 package pdn
 
 import (
+	"context"
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"ivory/internal/numeric"
@@ -35,17 +37,34 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestStagesCopied(t *testing.T) {
-	n := typical(t)
-	s := n.Stages()
-	s[0].R = 999
-	if numeric.ApproxEqual(n.Stages()[0].R, 999, 0) {
-		t.Error("Stages must return a copy")
+	stages := []Stage{{Name: "x", R: 1e-3, L: 1e-9, C: 1e-6}}
+	n, err := New(stages...)
+	if err != nil {
+		t.Fatal(err)
 	}
+	stages[0].R = 999
+	if numeric.ApproxEqual(n.TotalR(), 999, 0) {
+		t.Error("New must copy the ladder")
+	}
+}
+
+// resonancePeak scans [fLo, fHi] logarithmically and returns the frequency
+// and magnitude of the largest impedance peak — the anti-resonance that
+// dominates first-droop noise.
+func resonancePeak(n *Network, fLo, fHi float64, points int) (f, z float64) {
+	f = fLo
+	for i := 0; i < points; i++ {
+		freq := fLo * math.Pow(fHi/fLo, float64(i)/float64(points-1))
+		if m := cmplx.Abs(n.Impedance(freq)); m > z {
+			f, z = freq, m
+		}
+	}
+	return f, z
 }
 
 func TestImpedanceDCEqualsTotalR(t *testing.T) {
 	n := typical(t)
-	zdc := n.ImpedanceMagnitude(0)
+	zdc := cmplx.Abs(n.Impedance(0))
 	if math.Abs(zdc-n.TotalR())/n.TotalR() > 1e-9 {
 		t.Errorf("|Z(0)| = %v, want total R %v", zdc, n.TotalR())
 	}
@@ -55,7 +74,7 @@ func TestImpedanceLowFrequencyLimit(t *testing.T) {
 	n := typical(t)
 	// At very low (non-zero) frequency the decaps are nearly open, so the
 	// impedance approaches the series resistance.
-	z := n.ImpedanceMagnitude(0.01)
+	z := cmplx.Abs(n.Impedance(0.01))
 	if math.Abs(z-n.TotalR())/n.TotalR() > 0.05 {
 		t.Errorf("|Z(0.01 Hz)| = %v, want ~%v", z, n.TotalR())
 	}
@@ -65,8 +84,8 @@ func TestImpedanceHighFrequencyDecapShunt(t *testing.T) {
 	n := typical(t)
 	// Far above all resonances the die decap shunts the load: |Z| falls
 	// toward the die ESR.
-	z := n.ImpedanceMagnitude(10e9)
-	die := n.Stages()[2]
+	z := cmplx.Abs(n.Impedance(10e9))
+	die := n.stages[2]
 	if z > 2*die.ESR+1e-3 {
 		t.Errorf("|Z(10 GHz)| = %v, expected near die ESR %v", z, die.ESR)
 	}
@@ -74,7 +93,7 @@ func TestImpedanceHighFrequencyDecapShunt(t *testing.T) {
 
 func TestResonancePeakExists(t *testing.T) {
 	n := typical(t)
-	f, z := n.ResonancePeak(1e4, 1e9, 400)
+	f, z := resonancePeak(n, 1e4, 1e9, 400)
 	if z <= n.TotalR() {
 		t.Errorf("no anti-resonance found: peak %v at %v Hz", z, f)
 	}
@@ -94,8 +113,8 @@ func TestMoreDieDecapLowersResonanceFrequency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, z1 := n1.ResonancePeak(1e5, 1e9, 600)
-	f2, z2 := n2.ResonancePeak(1e5, 1e9, 600)
+	f1, z1 := resonancePeak(n1, 1e5, 1e9, 600)
+	f2, z2 := resonancePeak(n2, 1e5, 1e9, 600)
 	if f2 >= f1 {
 		t.Errorf("more decap should lower the resonance: %v -> %v Hz", f1, f2)
 	}
@@ -108,7 +127,7 @@ func TestTransientDCSteadyState(t *testing.T) {
 	n := typical(t)
 	vSrc := 1.0
 	iLoad := func(t float64) float64 { return 2.0 }
-	ts, vs, err := n.Transient(vSrc, iLoad, 1e-9, 2e-6)
+	ts, vs, err := n.TransientContext(context.Background(), vSrc, iLoad, 1e-9, 2e-6, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +149,7 @@ func TestTransientStepDroopAndRecovery(t *testing.T) {
 		}
 		return 5.0
 	}
-	_, vs, err := n.Transient(vSrc, step, 0.2e-9, 10e-6)
+	_, vs, err := n.TransientContext(context.Background(), vSrc, step, 0.2e-9, 10e-6, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +177,10 @@ func TestTransientStepDroopAndRecovery(t *testing.T) {
 
 func TestTransientInvalidArgs(t *testing.T) {
 	n := typical(t)
-	if _, _, err := n.Transient(1, func(float64) float64 { return 0 }, 0, 1e-6); err == nil {
+	if _, _, err := n.TransientContext(context.Background(), 1, func(float64) float64 { return 0 }, 0, 1e-6, nil, nil); err == nil {
 		t.Error("zero dt must fail")
 	}
-	if _, _, err := n.Transient(1, func(float64) float64 { return 0 }, 1e-9, 0); err == nil {
+	if _, _, err := n.TransientContext(context.Background(), 1, func(float64) float64 { return 0 }, 1e-9, 0, nil, nil); err == nil {
 		t.Error("zero T must fail")
 	}
 }
@@ -169,7 +188,7 @@ func TestTransientInvalidArgs(t *testing.T) {
 func TestStateSpaceDimensions(t *testing.T) {
 	n := typical(t)
 	a, b, c, d := n.StateSpace()
-	k := len(n.Stages())
+	k := len(n.stages)
 	if a.Rows != 2*k || a.Cols != 2*k {
 		t.Errorf("A is %dx%d, want %dx%d", a.Rows, a.Cols, 2*k, 2*k)
 	}

@@ -1,7 +1,6 @@
 package pds
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -19,15 +18,21 @@ import (
 // which the engine's determinism tests exercise under the race detector.
 var (
 	traceCache  sync.Map // traceKey -> [][]float64
-	traceCount  atomic.Int64
 	traceHits   atomic.Int64
 	traceMisses atomic.Int64
+
+	// traceRing lists the stored keys in insertion order, traceNext the
+	// oldest once the ring is full. Every store happens under traceMu.
+	traceMu   sync.Mutex
+	traceRing []traceKey
+	traceNext int
 )
 
 // traceCacheLimit bounds the memo so streams of one-off systems cannot grow
-// it without bound; past the limit, traces are computed but not stored. One
-// entry holds Cores full-length traces (~320 KB at case-study settings), so
-// the cap also bounds the resident set to a few tens of MB.
+// it without bound; at the limit, a new key evicts the oldest one, so a
+// long-lived process keeps caching the keys it currently sees. One entry
+// holds Cores full-length traces (~320 KB at case-study settings), so the
+// cap also bounds the resident set to a few tens of MB.
 const traceCacheLimit = 64
 
 type traceKey struct {
@@ -71,8 +76,6 @@ func fnv1aU64(h, v uint64) uint64 {
 	return h
 }
 
-func fnv1aFloat(h uint64, f float64) uint64 { return fnv1aU64(h, math.Float64bits(f)) }
-
 // benchStreamSeed derives the PRNG stream seed for one core of one
 // benchmark. The name enters through an FNV-1a hash: the previous
 // len(bench.Name) offset collided for benchmarks whose names share a length,
@@ -88,10 +91,6 @@ func benchStreamSeed(base int64, name string, core int) int64 {
 // coreCurrentsCached returns the per-core current traces for one benchmark,
 // memoized package-wide. The returned slices are shared: callers must treat
 // them as read-only.
-//
-// The size cap is enforced by reserving a slot before storing (the same CAS
-// discipline as topology's Analyze memo): a plain check-then-store would let
-// N concurrent first-sight misses overshoot the bound by the worker count.
 func (s *System) coreCurrentsCached(src workload.Source, dt float64, n int, v float64) [][]float64 {
 	key := traceKey{
 		benchSig: src.TraceSignature(),
@@ -109,17 +108,24 @@ func (s *System) coreCurrentsCached(src workload.Source, dt float64, n int, v fl
 	}
 	traceMisses.Add(1)
 	out := s.coreCurrents(src, dt, n, v)
-	for {
-		c := traceCount.Load()
-		if c >= traceCacheLimit {
-			return out
-		}
-		if !traceCount.CompareAndSwap(c, c+1) {
-			continue // another goroutine moved the count; re-check the cap
-		}
-		if _, loaded := traceCache.LoadOrStore(key, out); loaded {
-			traceCount.Add(-1) // lost the insert race; give the slot back
-		}
-		return out
+	storeTrace(key, out)
+	return out
+}
+
+// storeTrace memoizes traces under key, evicting the oldest entry when the
+// memo is full. A key another goroutine stored first is left as it is.
+func storeTrace(key traceKey, traces [][]float64) {
+	traceMu.Lock()
+	defer traceMu.Unlock()
+	if _, ok := traceCache.Load(key); ok {
+		return
 	}
+	if len(traceRing) < traceCacheLimit {
+		traceRing = append(traceRing, key)
+	} else {
+		traceCache.Delete(traceRing[traceNext])
+		traceRing[traceNext] = key
+		traceNext = (traceNext + 1) % traceCacheLimit
+	}
+	traceCache.Store(key, traces)
 }

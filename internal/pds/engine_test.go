@@ -89,6 +89,41 @@ func TestTraceCacheEquivalence(t *testing.T) {
 	}
 }
 
+// A full memo must keep caching: after traceCacheLimit one-off keys, a new
+// key that repeats must hit on its second lookup rather than be recomputed
+// forever because the first keys pinned every slot. The one-off keys are
+// inserted from several goroutines at once, so -race covers the eviction.
+func TestTraceCacheEvictsAtLimit(t *testing.T) {
+	s := testSystem(t)
+	bench, _ := workload.Get("CFD")
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sw := *s
+			for i := w; i <= traceCacheLimit; i += workers {
+				sw.Seed = int64(1000 + i) // a fresh key per call
+				sw.coreCurrentsCached(bench, 1e-9, 64, sw.VNominal)
+			}
+		}(w)
+	}
+	wg.Wait()
+	s.Seed = 999
+	s.coreCurrentsCached(bench, 1e-9, 64, s.VNominal)
+	h0, _ := TraceCacheStats()
+	s.coreCurrentsCached(bench, 1e-9, 64, s.VNominal)
+	if h1, _ := TraceCacheStats(); h1 != h0+1 {
+		t.Errorf("repeat of a new key after %d one-off keys missed: hits %d -> %d", traceCacheLimit, h0, h1)
+	}
+	n := 0
+	traceCache.Range(func(any, any) bool { n++; return true })
+	if n > traceCacheLimit {
+		t.Errorf("memo holds %d entries, limit %d", n, traceCacheLimit)
+	}
+}
+
 // Pins the k=0 contract documented on gridDropInto: the first sample carries
 // the resistive drop only, because the transient models enter the trace in
 // steady state (di/dt = 0 across the first boundary). An inductive turn-on

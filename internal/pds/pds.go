@@ -26,7 +26,6 @@ import (
 
 	"ivory/internal/buck"
 	"ivory/internal/dynamic"
-	"ivory/internal/grid"
 	"ivory/internal/ldo"
 	"ivory/internal/numeric"
 	"ivory/internal/pdn"
@@ -54,28 +53,6 @@ type System struct {
 	Network *pdn.Network
 	// Seed makes workload synthesis reproducible.
 	Seed int64
-}
-
-// CalibrateGridFromMesh derives the System's lumped grid resistance from
-// floorplan geometry: the worst-case effective resistance of a centralized
-// regulator placement on the given mesh over the core sites. The dynamic
-// analysis then divides it by the distribution count as before, an
-// approximation the grid-scaling study (ivory-exp gridscale) quantifies.
-func (s *System) CalibrateGridFromMesh(m *grid.Mesh) error {
-	if m == nil {
-		return fmt.Errorf("pds: nil mesh")
-	}
-	cores := m.QuadCores()
-	taps, err := m.PlaceIVRs(1, cores)
-	if err != nil {
-		return err
-	}
-	r, err := m.WorstCaseResistance(taps, cores)
-	if err != nil {
-		return err
-	}
-	s.GridR = r
-	return nil
 }
 
 // Validate checks the system description.

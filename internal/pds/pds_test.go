@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"ivory/internal/grid"
 	"ivory/internal/pdn"
 	"ivory/internal/sc"
 	"ivory/internal/tech"
@@ -239,26 +238,5 @@ func TestPowerBreakdownValidation(t *testing.T) {
 		if _, err := s.Breakdown(c.rail, c.p); err == nil {
 			t.Errorf("%s must fail", c.name)
 		}
-	}
-}
-
-func TestCalibrateGridFromMesh(t *testing.T) {
-	s := testSystem(t)
-	m, err := grid.NewMesh(16, 16, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := s.GridR
-	if err := s.CalibrateGridFromMesh(m); err != nil {
-		t.Fatal(err)
-	}
-	if s.GridR <= 0 {
-		t.Fatal("calibrated grid resistance must be positive")
-	}
-	if numeric.ApproxEqual(s.GridR, old, 0) {
-		t.Error("calibration should change the hand-set value")
-	}
-	if err := s.CalibrateGridFromMesh(nil); err == nil {
-		t.Error("nil mesh must fail")
 	}
 }

@@ -39,3 +39,22 @@ func TestIVRRail(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseRail checks that ParseRail never panics, that every rail it
+// accepts is valid, and that the rail survives a round trip through its
+// String token.
+func FuzzParseRail(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		r, err := ParseRail(s)
+		if err != nil {
+			return
+		}
+		if err := r.Validate(); err != nil {
+			t.Fatalf("ParseRail(%q) = %v, which fails validation: %v", s, r, err)
+		}
+		back, err := ParseRail(r.String())
+		if err != nil || back != r {
+			t.Fatalf("round trip %q -> %v -> %q -> %v, %v", s, r, r.String(), back, err)
+		}
+	})
+}

@@ -49,11 +49,6 @@ func NewReconfigurable(base Config, gears []*topology.Analysis) (*Reconfigurable
 	return r, nil
 }
 
-// Gears returns the constructed gear designs.
-func (r *Reconfigurable) Gears() []*Design {
-	return append([]*Design(nil), r.gears...)
-}
-
 // EvaluateAtVOut re-targets every gear to the requested output voltage,
 // evaluates each at the load, and returns the best gear's metrics along
 // with its index. Gears whose ideal ratio cannot reach the target are

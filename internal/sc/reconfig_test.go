@@ -41,8 +41,8 @@ func TestReconfigurableConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Gears()) != 2 {
-		t.Fatalf("expected 2 gears, got %d", len(r.Gears()))
+	if len(r.gears) != 2 {
+		t.Fatalf("expected 2 gears, got %d", len(r.gears))
 	}
 	if _, err := NewReconfigurable(reconfigBase(), nil); err == nil {
 		t.Error("no gears must fail")
@@ -106,7 +106,7 @@ func TestReconfigurableEnvelopeDominates(t *testing.T) {
 		t.Fatalf("envelope too short: %d points", len(vout))
 	}
 	for i, v := range vout {
-		for _, g := range r.Gears() {
+		for _, g := range r.gears {
 			cfg := g.Config()
 			cfg.VOut = v
 			d, err := New(cfg)

@@ -423,16 +423,6 @@ func (d *Design) Area() float64 {
 	return a * routingTax
 }
 
-// SwitchArea returns only the power-switch area (m²), used by area-split
-// optimization.
-func (d *Design) SwitchArea() float64 {
-	a := 0.0
-	for i := range d.devs {
-		a += float64(d.stacks[i]) * d.devs[i].Area(d.widths[i])
-	}
-	return a
-}
-
 // GTotalForSwitchArea returns the total conductance achievable with the
 // given switch area (m²) for this design's topology and voltage mapping.
 // Conductance shares follow the optimal |a_r| split, so area relates to
@@ -458,31 +448,4 @@ func GTotalForSwitchArea(an *topology.Analysis, node *tech.Node, vin, areaM2 flo
 		return 0, err
 	}
 	return gTotal, nil
-}
-
-// EfficiencyCurve sweeps the open-loop output voltage from vLo to vHi (by
-// varying f_sw regulation) at fixed load and returns parallel slices of
-// achieved V_out and efficiency — the curve shape validated in the paper's
-// Fig. 7. Points past the efficiency cliff (unreachable targets) are
-// omitted, mirroring the "non-functional region" of real converters.
-func (d *Design) EfficiencyCurve(iLoad, vLo, vHi float64, points int) (vout, eff []float64) {
-	if points < 2 {
-		points = 2
-	}
-	for k := 0; k < points; k++ {
-		target := vLo + (vHi-vLo)*float64(k)/float64(points-1)
-		cfg := d.cfg
-		cfg.VOut = target
-		dd, err := New(cfg)
-		if err != nil {
-			continue
-		}
-		m, err := dd.Evaluate(iLoad)
-		if err != nil {
-			continue
-		}
-		vout = append(vout, m.VOut)
-		eff = append(eff, m.Efficiency)
-	}
-	return vout, eff
 }

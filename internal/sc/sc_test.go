@@ -281,7 +281,7 @@ func TestEfficiencyPeaksNearIdealRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vout, eff := d.EfficiencyCurve(0.4, 0.3, 0.89, 40)
+	vout, eff := efficiencyCurve(d, 0.4, 0.3, 0.89, 40)
 	if len(vout) < 10 {
 		t.Fatalf("curve too short: %d points", len(vout))
 	}
@@ -311,7 +311,7 @@ func TestGTotalForSwitchAreaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	area := d.SwitchArea()
+	area := switchArea(d)
 	if area <= 0 {
 		t.Fatal("switch area must be positive")
 	}
@@ -388,4 +388,34 @@ func TestThreeToOneFromBoardVoltage(t *testing.T) {
 	if m.Efficiency < 0.55 || m.Efficiency > 0.92 {
 		t.Errorf("3:1 efficiency out of band: %v", m.Efficiency)
 	}
+}
+
+// efficiencyCurve sweeps the regulation target from vLo to vHi at fixed
+// load and returns the achieved V_out and efficiency of every feasible
+// point.
+func efficiencyCurve(d *Design, iLoad, vLo, vHi float64, points int) (vout, eff []float64) {
+	for k := 0; k < points; k++ {
+		cfg := d.Config()
+		cfg.VOut = vLo + (vHi-vLo)*float64(k)/float64(points-1)
+		dd, err := New(cfg)
+		if err != nil {
+			continue
+		}
+		m, err := dd.Evaluate(iLoad)
+		if err != nil {
+			continue
+		}
+		vout = append(vout, m.VOut)
+		eff = append(eff, m.Efficiency)
+	}
+	return vout, eff
+}
+
+// switchArea returns the power-switch area (m²) of a design.
+func switchArea(d *Design) float64 {
+	a := 0.0
+	for i := range d.devs {
+		a += float64(d.stacks[i]) * d.devs[i].Area(d.widths[i])
+	}
+	return a
 }

@@ -302,7 +302,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	// The draining flag flips synchronously at the head of Shutdown; poll
 	// only for the goroutine to have entered it.
 	deadline := time.Now().Add(10 * time.Second)
-	for !s.Draining() {
+	for !s.draining.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("server never started draining")
 		}
@@ -752,4 +752,26 @@ func TestShutdownTeardownBoundedByCallerCtx(t *testing.T) {
 	if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
 		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
 	}
+}
+
+// parseExposition maps "name{labels}" -> value
+// for every sample line in a text exposition.
+func parseExposition(text string) map[string]float64 {
+	out := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			continue
+		}
+		out[line[:i]] = v
+	}
+	return out
 }

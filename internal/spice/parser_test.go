@@ -157,3 +157,18 @@ func TestParseNetlistErrors(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseNetlist checks that no input panics the netlist parser: every
+// deck either returns an error or parses into a circuit with elements and
+// no deferred build error.
+func FuzzParseNetlist(f *testing.F) {
+	f.Fuzz(func(t *testing.T, deck string) {
+		c, err := ParseNetlist(strings.NewReader(deck))
+		if err != nil {
+			return
+		}
+		if len(c.elems) == 0 || c.err != nil {
+			t.Fatalf("ParseNetlist(%q) accepted a deck with %d elements and build error %v", deck, len(c.elems), c.err)
+		}
+	})
+}

@@ -222,12 +222,9 @@ func TestVCVSAmplifier(t *testing.T) {
 	c.V("vin", "in", "0", DC(0.1))
 	c.E("eamp", "out", "0", "in", "0", 10)
 	c.R("rl", "out", "0", 1000)
-	op, err := c.OP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(op.V["out"]-1.0) > 1e-6 {
-		t.Errorf("VCVS output %v, want 1.0", op.V["out"])
+	v, _ := dcSteady(t, c)
+	if math.Abs(v["out"]-1.0) > 1e-6 {
+		t.Errorf("VCVS output %v, want 1.0", v["out"])
 	}
 	// And in transient.
 	res, err := c.Tran(1e-9, 100e-9)
@@ -246,12 +243,9 @@ func TestVCCSTransconductance(t *testing.T) {
 	c.V("vin", "in", "0", DC(0.2))
 	c.G("g1", "out", "0", "in", "0", 10e-3)
 	c.R("rl", "out", "0", 1000)
-	op, err := c.OP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(op.V["out"]+2.0) > 1e-6 {
-		t.Errorf("VCCS output %v, want -2.0", op.V["out"])
+	v, _ := dcSteady(t, c)
+	if math.Abs(v["out"]+2.0) > 1e-6 {
+		t.Errorf("VCCS output %v, want -2.0", v["out"])
 	}
 }
 
@@ -265,12 +259,9 @@ func TestVCVSFeedbackDivider(t *testing.T) {
 	// unity feedback
 	c.R("rf", "out", "fb", 1)
 	c.R("rg", "fb", "0", 1e9)
-	op, err := c.OP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(op.V["out"]-0.5) > 1e-3 {
-		t.Errorf("follower output %v, want 0.5", op.V["out"])
+	v, _ := dcSteady(t, c)
+	if math.Abs(v["out"]-0.5) > 1e-3 {
+		t.Errorf("follower output %v, want 0.5", v["out"])
 	}
 }
 
@@ -303,15 +294,12 @@ R2 o2 0 2k
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := c.OP()
-	if err != nil {
-		t.Fatal(err)
+	v, _ := dcSteady(t, c)
+	if math.Abs(v["out"]-1.0) > 1e-6 {
+		t.Errorf("parsed VCVS wrong: %v", v["out"])
 	}
-	if math.Abs(op.V["out"]-1.0) > 1e-6 {
-		t.Errorf("parsed VCVS wrong: %v", op.V["out"])
-	}
-	if math.Abs(op.V["o2"]+1.0) > 1e-6 {
-		t.Errorf("parsed VCCS wrong: %v", op.V["o2"])
+	if math.Abs(v["o2"]+1.0) > 1e-6 {
+		t.Errorf("parsed VCCS wrong: %v", v["o2"])
 	}
 	if _, err := ParseNetlist(strings.NewReader("E1 a 0 b")); err == nil {
 		t.Error("short E card must fail")

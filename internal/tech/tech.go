@@ -115,14 +115,6 @@ type SwitchDevice struct {
 	AreaPerWidth float64
 }
 
-// ROn returns the on-resistance (ohm) of a switch of width w (m).
-func (s SwitchDevice) ROn(w float64) float64 {
-	if w <= 0 {
-		return 0
-	}
-	return s.ROnWidth / w
-}
-
 // CGate returns the gate capacitance (F) of a switch of width w (m).
 func (s SwitchDevice) CGate(w float64) float64 { return s.CGatePerWidth * w }
 
@@ -134,14 +126,6 @@ func (s SwitchDevice) Leakage(w float64) float64 { return s.LeakPerWidth * w }
 
 // Area returns the layout area (m²) of a switch of width w (m).
 func (s SwitchDevice) Area(w float64) float64 { return s.AreaPerWidth * w }
-
-// WidthForROn returns the width (m) achieving on-resistance r (ohm).
-func (s SwitchDevice) WidthForROn(r float64) float64 {
-	if r <= 0 {
-		return 0
-	}
-	return s.ROnWidth / r
-}
 
 // CapacitorOption describes an on-chip capacitor flavour.
 type CapacitorOption struct {
@@ -166,15 +150,6 @@ func (c CapacitorOption) Area(cap float64) float64 {
 		return 0
 	}
 	return cap / c.DensityFPerM2
-}
-
-// ESR returns the effective series resistance (ohm) of a capacitor of value
-// cap (F).
-func (c CapacitorOption) ESR(cap float64) float64 {
-	if cap <= 0 {
-		return 0
-	}
-	return c.ESROhmFarad / cap
 }
 
 // InductorOption describes an inductor implementation.
@@ -250,15 +225,6 @@ type Node struct {
 	// LogicEnergyPerGateJ is switching energy per gate-width-unit, used to
 	// size controller overhead (J per transition at VddNominal).
 	LogicEnergyPerGateJ float64
-}
-
-// Switch returns the switch device of the given class.
-func (n *Node) Switch(class DeviceClass) (SwitchDevice, error) {
-	s, ok := n.Switches[class]
-	if !ok {
-		return SwitchDevice{}, fmt.Errorf("tech: node %s has no %v switch device", n.Name, class)
-	}
-	return s, nil
 }
 
 // Capacitor returns the capacitor option of the given kind.

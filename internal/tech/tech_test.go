@@ -63,30 +63,20 @@ func TestScalingTrends(t *testing.T) {
 
 func TestSwitchDeviceScaling(t *testing.T) {
 	n := MustLookup("45nm")
-	sw, err := n.Switch(CoreDevice)
-	if err != nil {
-		t.Fatal(err)
+	sw, ok := n.Switches[CoreDevice]
+	if !ok {
+		t.Fatal("45nm has no core switch device")
 	}
+	if sw.ROnWidth <= 0 {
+		t.Fatal("ROn·W must be positive")
+	}
+	// Doubling the width doubles the caps.
 	w := 1e-3 // 1 mm of width
-	r := sw.ROn(w)
-	if r <= 0 {
-		t.Fatal("ROn must be positive")
-	}
-	// Doubling the width halves the resistance and doubles the caps.
-	if math.Abs(sw.ROn(2*w)-r/2) > 1e-12*r {
-		t.Error("ROn does not scale as 1/W")
-	}
 	if math.Abs(sw.CGate(2*w)-2*sw.CGate(w)) > 1e-25 {
 		t.Error("CGate does not scale with W")
 	}
-	if math.Abs(sw.WidthForROn(r)-w) > 1e-15 {
-		t.Error("WidthForROn is not the inverse of ROn")
-	}
 	if sw.Area(w) <= 0 || sw.Leakage(w) <= 0 {
 		t.Error("area/leakage should be positive")
-	}
-	if sw.ROn(0) != 0 || sw.WidthForROn(0) != 0 {
-		t.Error("zero-width edge cases")
 	}
 }
 
@@ -141,9 +131,6 @@ func TestCapacitorOptions(t *testing.T) {
 	// Area halves when density doubles: consistency check via trench.
 	if trench.Area(c) >= mos.Area(c) {
 		t.Error("denser capacitor should use less area")
-	}
-	if mos.ESR(c) <= 0 || mos.ESR(0) != 0 {
-		t.Error("ESR behaviour wrong")
 	}
 	// 130 nm has no trench cap.
 	if _, err := MustLookup("130nm").Capacitor(DeepTrench); err == nil {

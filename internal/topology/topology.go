@@ -120,9 +120,6 @@ func (b *Builder) Build() *Topology {
 	return &t
 }
 
-// NumNodes returns the total node count including the three reserved nodes.
-func (t *Topology) NumNodes() int { return t.numNodes }
-
 // Analysis is the analytical characterization of a topology.
 type Analysis struct {
 	// Name echoes the topology name.

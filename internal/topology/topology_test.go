@@ -139,7 +139,7 @@ func TestDoublerRatios(t *testing.T) {
 func TestFibonacciRatios(t *testing.T) {
 	for k := 1; k <= 5; k++ {
 		an := analyze(t, r(Fibonacci(k)))
-		want := 1 / float64(Fib(k+2))
+		want := 1 / float64(fib(k+2))
 		wantClose(t, an.Name+" ratio", an.Ratio, want, 1e-6)
 	}
 	if _, err := Fibonacci(0); err == nil {
@@ -150,8 +150,8 @@ func TestFibonacciRatios(t *testing.T) {
 func TestFibHelper(t *testing.T) {
 	want := []int{0, 1, 1, 2, 3, 5, 8, 13}
 	for k, w := range want {
-		if Fib(k) != w {
-			t.Errorf("Fib(%d) = %d, want %d", k, Fib(k), w)
+		if fib(k) != w {
+			t.Errorf("fib(%d) = %d, want %d", k, fib(k), w)
 		}
 	}
 }
@@ -288,8 +288,8 @@ func TestBuilderNodes(t *testing.T) {
 	}
 	b.AddCap(n1, n2, "c")
 	tp := b.Build()
-	if tp.NumNodes() != numReserved+2 {
-		t.Errorf("NumNodes = %d", tp.NumNodes())
+	if tp.numNodes != numReserved+2 {
+		t.Errorf("NumNodes = %d", tp.numNodes)
 	}
 }
 
@@ -304,4 +304,17 @@ func TestPaperValidationTopologies(t *testing.T) {
 	wantClose(t, "3:1 ratio", an31.Ratio, 1.0/3.0, 1e-6)
 	an41 := analyze(t, r(SeriesParallel(4, 1)))
 	wantClose(t, "4:1 ratio", an41.Ratio, 0.25, 1e-6)
+}
+
+// fib returns the k-th Fibonacci number with fib(1) = fib(2) = 1: the
+// reference the Fibonacci-family ratios are checked against.
+func fib(k int) int {
+	if k <= 0 {
+		return 0
+	}
+	a, b := 1, 1
+	for i := 3; i <= k; i++ {
+		a, b = b, a+b
+	}
+	return b
 }

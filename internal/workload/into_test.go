@@ -27,7 +27,7 @@ func TestCurrentTraceIntoMatchesCurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		power := b.PowerTrace(5, 1e-9, 2048, 42)
+		power := b.PowerTraceInto(nil, 5, 1e-9, 2048, 42)
 		// Include a below-leakage sample so the activity clamp is exercised.
 		power[17] = 0.1
 		for _, v := range []float64{0.80, 0.85, 0.92} {
@@ -58,7 +58,7 @@ func TestPowerTraceIntoReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := b.PowerTrace(5, 1e-9, 4096, 99)
+	want := b.PowerTraceInto(nil, 5, 1e-9, 4096, 99)
 	buf := make([]float64, 0, 4096)
 	got := b.PowerTraceInto(buf, 5, 1e-9, 4096, 99)
 	if !bitsEqual(want, got) {

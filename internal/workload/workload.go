@@ -99,16 +99,10 @@ func Get(name string) (Benchmark, error) {
 	return b, nil
 }
 
-// PowerTrace synthesizes n samples of the benchmark's power draw (W) at
-// sample interval dt for a core of the given TDP. The same seed always
-// yields the same trace.
-func (b Benchmark) PowerTrace(tdp, dt float64, n int, seed int64) []float64 {
-	return b.PowerTraceInto(nil, tdp, dt, n, seed)
-}
-
-// PowerTraceInto is PowerTrace with buffer reuse: dst (may be nil) donates
-// its capacity when it fits n samples. The PRNG stream is consumed exactly as
-// PowerTrace does, so the two produce identical traces for identical seeds.
+// PowerTraceInto synthesizes n samples of the benchmark's power draw (W)
+// at sample interval dt for a core of the given TDP. The same seed always
+// yields the same trace. dst (may be nil) donates its capacity when it
+// fits n samples.
 func (b Benchmark) PowerTraceInto(dst []float64, tdp, dt float64, n int, seed int64) []float64 {
 	if n <= 0 || tdp <= 0 || dt <= 0 {
 		return nil
