@@ -26,8 +26,8 @@ race:
 	$(GO) test -race ./internal/...
 
 # Benchmark smoke run over the root harness (Explore serial/parallel/
-# cluster, PlaceIVRs, per-figure regeneration, MNA kernel Transient/AC
-# sweeps) — one iteration each — plus a focused pass over the transient
+# cluster, PlaceIVRs, per-figure regeneration, the MNA Transient kernel)
+# — one iteration each — plus a focused pass over the transient
 # case-study engine (Fig 10/11/13, grid scaling) and the simulation
 # kernels. The raw `go test -json` streams are condensed through
 # `ivory-benchdiff -compact` so the committed BENCH_*.json files hold one
@@ -36,7 +36,7 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem -json . > BENCH_explore.raw
 	$(GO) run ./cmd/ivory-benchdiff -compact BENCH_explore.raw > BENCH_explore.json && rm BENCH_explore.raw
 	cat BENCH_explore.json
-	$(GO) test -run '^$$' -bench 'Fig10|Fig11|Fig13|GridScale|Transient|AC' -benchtime=1x -benchmem -json . > BENCH_transient.raw
+	$(GO) test -run '^$$' -bench 'Fig10|Fig11|Fig13|GridScale|Transient' -benchtime=1x -benchmem -json . > BENCH_transient.raw
 	$(GO) run ./cmd/ivory-benchdiff -compact BENCH_transient.raw > BENCH_transient.json && rm BENCH_transient.raw
 	cat BENCH_transient.json
 
@@ -61,17 +61,17 @@ bench-full:
 	$(GO) test -bench=. -benchmem ./...
 
 # CPU + heap profile capture over the simulation kernels: the circuit-level
-# Transient/AC benchmarks and the numeric LU microbenchmarks. Emits pprof
+# Transient benchmarks and the numeric LU microbenchmarks. Emits pprof
 # artifacts under profiles/ (uploaded from CI); the trailing `go tool pprof
 # -top` both prints the hot spots and fails the target if a profile is
 # unreadable. Flame graph: `go tool pprof -http=: profiles/kernel.test
 # profiles/kernel_cpu.pprof`.
 bench-profile:
 	mkdir -p profiles
-	$(GO) test -run '^$$' -bench 'Transient|AC' -benchtime=50x \
+	$(GO) test -run '^$$' -bench 'Transient' -benchtime=50x \
 		-cpuprofile profiles/kernel_cpu.pprof -memprofile profiles/kernel_mem.pprof \
 		-o profiles/kernel.test .
-	$(GO) test -run '^$$' -bench 'SparseLU|DenseFactorize|ComplexLU' -benchtime=2000x \
+	$(GO) test -run '^$$' -bench 'SparseLU|DenseFactorize' -benchtime=2000x \
 		-cpuprofile profiles/lu_cpu.pprof -memprofile profiles/lu_mem.pprof \
 		-o profiles/lu.test ./internal/numeric
 	$(GO) tool pprof -top -nodecount=12 profiles/kernel.test profiles/kernel_cpu.pprof

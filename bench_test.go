@@ -8,7 +8,6 @@ package ivory
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"ivory/internal/experiments"
@@ -487,25 +486,4 @@ func BenchmarkTransient(b *testing.B) {
 	}
 	b.Run("buck", run(20e6, benchBuckCircuit))
 	b.Run("sc21", run(50e6, benchSC21Circuit))
-}
-
-func BenchmarkAC(b *testing.B) {
-	freqs := make([]float64, 200)
-	for i := range freqs {
-		freqs[i] = 1e3 * math.Pow(10, 6*float64(i)/float64(len(freqs)-1))
-	}
-	run := func(build func(*testing.B) *spice.Circuit) func(*testing.B) {
-		return func(b *testing.B) {
-			ckt := build(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ckt.AC(freqs, "vsrc"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.Run("buck", run(benchBuckCircuit))
-	b.Run("sc21", run(benchSC21Circuit))
 }

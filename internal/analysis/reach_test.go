@@ -14,11 +14,7 @@ import (
 // but that stay on purpose, each with its reason. Entries are extra roots:
 // whatever they call is reachable too.
 var reachAllow = map[string]string{
-	"(*spice.Circuit).AC":        "small-signal AC sweep (and its numeric.ComplexLU kernel), kept for the deferred loop-stability layer",
-	"(*spice.ACResult).Mag":      "AC magnitude readout, part of the stability-layer path",
-	"(*spice.ACResult).PhaseDeg": "AC phase readout, which phase-margin checks of the stability layer need",
-	"numeric.ApproxEqual":        "float comparison helper shared by the tests of many packages",
-	"(*pdn.Network).Impedance":   "analytic ladder impedance, the reference of spice's TestACMatchesPDNImpedance",
+	"numeric.ApproxEqual": "float comparison helper shared by the tests of many packages",
 }
 
 // TestProductionReachability fails on production code that only tests

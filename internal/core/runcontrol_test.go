@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ivory/internal/parallel"
@@ -92,9 +93,13 @@ func TestExploreCancelledMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialByLabel := map[string]Candidate{}
+	// Labels are not unique: SC configurations that differ only in cap
+	// share or allocation policy share one label, so each label maps to
+	// every candidate the full sweep produced under it.
+	serialByLabel := map[string][]Candidate{}
 	for _, c := range full.Candidates {
-		serialByLabel[c.Kind.String()+"|"+c.Label] = c
+		key := c.Kind.String() + "|" + c.Label
+		serialByLabel[key] = append(serialByLabel[key], c)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -127,11 +132,11 @@ func TestExploreCancelledMidRun(t *testing.T) {
 	// No shard corruption: every candidate that made it out is exactly the
 	// candidate the full sweep produced for the same configuration.
 	for _, c := range res.Candidates {
-		want, ok := serialByLabel[c.Kind.String()+"|"+c.Label]
+		same, ok := serialByLabel[c.Kind.String()+"|"+c.Label]
 		if !ok {
 			t.Fatalf("partial candidate %q not present in the full sweep", c.Label)
 		}
-		if !reflect.DeepEqual(c.Metrics, want.Metrics) {
+		if !slices.ContainsFunc(same, func(w Candidate) bool { return reflect.DeepEqual(c.Metrics, w.Metrics) }) {
 			t.Fatalf("partial candidate %q metrics diverge from the full sweep", c.Label)
 		}
 	}

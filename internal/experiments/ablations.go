@@ -155,23 +155,13 @@ func AblationsRun(ctx context.Context, opt TransientOptions) (*AblationResult, e
 		},
 	}
 	rows := make([]AblationRow, len(studies))
-	errs := make([]error, len(studies))
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ferr := parallel.ForContext(runCtx, len(studies), opt.Workers, func(i int) {
-		row, err := studies[i](runCtx)
-		if err != nil {
-			errs[i] = err
-			cancel()
-			return
-		}
+	err = parallel.ForContext(ctx, len(studies), opt.Workers, func(ctx context.Context, i int) error {
+		row, err := studies[i](ctx)
 		rows[i] = row
+		return err
 	})
-	if err := firstCellError(errs); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if ferr != nil {
-		return nil, ferr
 	}
 	return &AblationResult{Rows: rows}, nil
 }

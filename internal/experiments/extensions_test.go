@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -132,6 +133,25 @@ func TestVariationStudy(t *testing.T) {
 	}
 	if !strings.Contains(r.Format(), "process-variation") {
 		t.Error("Format incomplete")
+	}
+}
+
+// TestVariationDeterministic: the Monte-Carlo study draws every sample
+// from one seeded stream, so two runs must agree exactly whatever order
+// Go happens to range the node's device and capacitor maps in.
+func TestVariationDeterministic(t *testing.T) {
+	a, err := VariationContext(context.Background(), 40, 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 3; run++ {
+		b, err := VariationContext(context.Background(), 40, 0.10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("two variation runs differ:\n%+v\n%+v", a, b)
+		}
 	}
 }
 

@@ -142,36 +142,27 @@ func Fig10Run(ctx context.Context, opt TransientOptions) (*Fig10Result, error) {
 	}
 	tracker := newTransientTracker(len(cells), time.Since(exploreStart), opt.Progress)
 	results := make([]*pds.NoiseResult, len(cells))
-	errs := make([]error, len(cells))
-	// A failing cell cancels the run context so sibling cells stop instead
-	// of burning a full simulation each.
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ferr := parallel.ForContext(runCtx, len(cells), opt.Workers, func(i int) {
+	// A failing cell cancels its siblings (parallel.ForContext), so they
+	// stop instead of burning a full simulation each.
+	err = parallel.ForContext(ctx, len(cells), opt.Workers, func(ctx context.Context, i int) error {
 		c := cells[i]
 		bench, err := workload.Get(c.bench)
 		if err != nil {
-			errs[i] = err
-			cancel()
-			return
+			return err
 		}
 		scr := scratchPool.Get().(*pds.Scratch)
 		defer scratchPool.Put(scr)
 		simOpt := pds.SimOptions{KeepTrace: c.bench == "CFD", Scratch: scr}
-		nr, err := cs.System.Simulate(runCtx, pds.Regulator{Rail: c.rail, SC: design}, bench, T, dt, simOpt)
+		nr, err := cs.System.Simulate(ctx, pds.Regulator{Rail: c.rail, SC: design}, bench, T, dt, simOpt)
 		if err != nil {
-			errs[i] = fmt.Errorf("experiments: %s / %s: %w", c.bench, c.rail.Label(), err)
-			cancel()
-			return
+			return fmt.Errorf("experiments: %s / %s: %w", c.bench, c.rail.Label(), err)
 		}
 		results[i] = nr
 		tracker.cellDone()
+		return nil
 	})
-	if err := firstCellError(errs); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if ferr != nil {
-		return nil, ferr
 	}
 	res := &Fig10Result{
 		CFDTraces:     map[string][]float64{},

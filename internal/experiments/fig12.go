@@ -39,7 +39,7 @@ func Fig12Run(ctx context.Context, opt TransientOptions) (*Fig12Result, error) {
 	}
 	budgets := []float64{2, 4, 6, 10, 14, 20, 28, 40}
 	points := make([]Fig12Point, len(budgets))
-	ferr := parallel.ForContext(ctx, len(budgets), opt.Workers, func(i int) {
+	err = parallel.ForContext(ctx, len(budgets), opt.Workers, func(ctx context.Context, i int) error {
 		areaMM2 := budgets[i]
 		spec := cs.Spec
 		spec.AreaMax = areaMM2 * 1e-6
@@ -60,9 +60,10 @@ func Fig12Run(ctx context.Context, opt TransientOptions) (*Fig12Result, error) {
 			}
 		}
 		points[i] = pt
+		return nil
 	})
-	if ferr != nil {
-		return nil, ferr
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		// Cancellation, not an infeasible budget: discard the partial sweep.

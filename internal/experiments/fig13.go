@@ -47,10 +47,7 @@ func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*F
 	// merge below to keep map writes single-goroutine.
 	rails := make([]pds.Rail, len(noiseConfigs))
 	params := make([]pds.BreakdownParams, len(noiseConfigs))
-	errs := make([]error, len(noiseConfigs))
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ferr := parallel.ForContext(runCtx, len(noiseConfigs), opt.Workers, func(i int) {
+	err = parallel.ForContext(ctx, len(noiseConfigs), opt.Workers, func(ctx context.Context, i int) error {
 		rails[i] = pds.IVRRail(noiseConfigs[i])
 		margin := noise.DroopByConfig[rails[i].Label()]
 		if margin < 0 {
@@ -58,7 +55,7 @@ func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*F
 		}
 		params[i].Margin = margin
 		if rails[i].Kind == pds.OffChipVRM {
-			return
+			return nil
 		}
 		// Re-explore the IVR at its actual regulated level (nominal plus
 		// this configuration's own margin): the margin-aware
@@ -67,26 +64,20 @@ func Fig13Run(ctx context.Context, noise *Fig10Result, opt TransientOptions) (*F
 		spec := cs.Spec
 		spec.VOut = vOp
 		spec.IMax = cs.System.TDPPerCore * float64(cs.System.Cores) / cs.System.VNominal
-		spec.Context = runCtx
+		spec.Context = ctx
 		expRes, err := core.Explore(spec)
 		if err != nil {
-			errs[i] = err
-			cancel()
-			return
+			return err
 		}
 		cand, ok := expRes.BestOfKind(core.KindSC)
 		if !ok {
-			errs[i] = fmt.Errorf("experiments: no SC design at V_op %.3f", vOp)
-			cancel()
-			return
+			return fmt.Errorf("experiments: no SC design at V_op %.3f", vOp)
 		}
 		params[i].RegulatorEfficiency = cand.Metrics.Efficiency
+		return nil
 	})
-	if err := firstCellError(errs); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if ferr != nil {
-		return nil, ferr
 	}
 	// Phase 2: breakdowns and aggregates, in enumeration order.
 	var offEff float64

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ivory/internal/core"
 	"ivory/internal/numeric"
@@ -109,19 +110,34 @@ func perturbNode(n *tech.Node, sigma float64, rng *rand.Rand, k int) *tech.Node 
 	}
 	out := *n
 	out.Name = fmt.Sprintf("%s-mc%d", n.Name, k)
+	// The draws come from one shared stream, so the maps are walked in
+	// key order: Go's randomized map order would otherwise hand each
+	// parameter a different draw on every run.
 	out.Switches = map[tech.DeviceClass]tech.SwitchDevice{}
-	for class, sw := range n.Switches {
+	for _, class := range sortedKeys(n.Switches) {
+		sw := n.Switches[class]
 		sw.ROnWidth *= mul()
 		sw.CGatePerWidth *= mul()
 		out.Switches[class] = sw
 	}
 	out.Capacitors = map[tech.CapacitorKind]tech.CapacitorOption{}
-	for kind, c := range n.Capacitors {
+	for _, kind := range sortedKeys(n.Capacitors) {
+		c := n.Capacitors[kind]
 		c.DensityFPerM2 *= mul()
 		out.Capacitors[kind] = c
 	}
 	out.Inductors = n.Inductors
 	return &out
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K ~int, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // Format renders the study.

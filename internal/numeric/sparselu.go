@@ -3,13 +3,11 @@ package numeric
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 )
 
 // This file holds the structure-aware LU kernels behind the MNA circuit
-// simulator. A circuit's matrix pattern is fixed: time steps, switch-state
-// changes, and AC frequency points all reassign *values* at the same
-// positions. The kernels therefore split factorization into
+// simulator. A circuit's matrix pattern is fixed: time steps and
+// switch-state changes reassign *values* at the same positions. The kernels therefore split factorization into
 //
 //   - a symbolic phase, run once per pattern: pivot order, fill-in
 //     pattern of L and U, and the row/column index lists that drive the
@@ -46,8 +44,7 @@ const pivotTiny = 1e-300
 
 // Symbolic is the shared, immutable structure of an LU factorization:
 // pivot order and the fill-in pattern of L and U. One Symbolic may back
-// any number of real (SparseLU) and complex (ComplexLU) numeric
-// factorizations concurrently — it is never mutated after construction.
+// any number of numeric factorizations concurrently — it is never mutated after construction.
 type Symbolic struct {
 	n    int
 	perm []int  // row permutation: factored row i holds input row perm[i]
@@ -254,182 +251,6 @@ func (f *SparseLU) SolveInto(x, b []float64) []float64 {
 	}
 	if len(x) != n {
 		panic("numeric: solution length mismatch in SparseLU.SolveInto")
-	}
-	lu := f.lu
-	for i := 0; i < n; i++ {
-		x[i] = b[f.sym.perm[i]]
-	}
-	for i := 1; i < n; i++ {
-		s := x[i]
-		for _, jj := range f.sym.lrow[i] {
-			j := int(jj)
-			s -= lu[i*n+j] * x[j]
-		}
-		x[i] = s
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for _, jj := range f.sym.urow[i] {
-			j := int(jj)
-			s -= lu[i*n+j] * x[j]
-		}
-		x[i] = s / lu[i*n+i]
-	}
-	return x
-}
-
-// ComplexLU is the complex-valued twin of SparseLU, sharing the same
-// symbolic machinery. The MNA AC sweep has one pattern across all
-// frequencies (admittance values move, positions do not), so the kernel
-// factors the pattern once at the first frequency and then runs the
-// numeric-only sweep per point. The same re-pivot guard applies: if the
-// admittance drift degrades a frozen pivot (threshold pivoting on complex
-// magnitudes), the factorization transparently re-pivots and carries the
-// refreshed order to subsequent frequencies.
-type ComplexLU struct {
-	sym *Symbolic
-	lu  []complex128
-}
-
-// NewComplexLU factorizes the dense row-major n-by-n complex matrix a
-// with partial pivoting and records the symbolic structure. The input is
-// not modified.
-func NewComplexLU(a []complex128, n int) (*ComplexLU, error) {
-	if len(a) != n*n {
-		return nil, fmt.Errorf("numeric: NewComplexLU needs %d values for dim %d, got %d", n*n, n, len(a))
-	}
-	f := &ComplexLU{lu: make([]complex128, n*n)}
-	copy(f.lu, a)
-	if err := f.pivotingFactor(n); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-func (f *ComplexLU) pivotingFactor(n int) error {
-	B := make([]bool, n*n)
-	for i, v := range f.lu {
-		B[i] = v != 0
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	lu := f.lu
-	for k := 0; k < n; k++ {
-		p, maxAbs := k, cmplx.Abs(lu[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if ab := cmplx.Abs(lu[i*n+k]); ab > maxAbs {
-				p, maxAbs = i, ab
-			}
-		}
-		if maxAbs < pivotTiny {
-			return ErrSingular
-		}
-		if p != k {
-			for j := 0; j < n; j++ {
-				lu[p*n+j], lu[k*n+j] = lu[k*n+j], lu[p*n+j]
-				B[p*n+j], B[k*n+j] = B[k*n+j], B[p*n+j]
-			}
-			perm[p], perm[k] = perm[k], perm[p]
-		}
-		piv := lu[k*n+k]
-		for i := k + 1; i < n; i++ {
-			if B[i*n+k] {
-				for j := k + 1; j < n; j++ {
-					if B[k*n+j] {
-						B[i*n+j] = true
-					}
-				}
-			}
-			l := lu[i*n+k] / piv
-			lu[i*n+k] = l
-			if l == 0 {
-				continue
-			}
-			for j := k + 1; j < n; j++ {
-				lu[i*n+j] -= l * lu[k*n+j]
-			}
-		}
-	}
-	f.sym = buildSymbolic(n, B, perm)
-	return nil
-}
-
-// Refactor refactorizes the dense row-major matrix a, which must share
-// the recorded pattern, into the existing storage; it allocates nothing
-// on the fast path and transparently re-pivots when the pattern or the
-// pivot stability test is violated. The input is not modified.
-func (f *ComplexLU) Refactor(a []complex128) error {
-	if f.sym == nil || len(a) != f.sym.n*f.sym.n {
-		return f.refactorFresh(a)
-	}
-	n := f.sym.n
-	mask := f.sym.mask
-	lu := f.lu
-	for i := 0; i < n; i++ {
-		src := a[f.sym.perm[i]*n : f.sym.perm[i]*n+n]
-		dst := lu[i*n : i*n+n]
-		m := mask[i*n : i*n+n]
-		for j, v := range src {
-			if v != 0 && !m[j] {
-				return f.refactorFresh(a)
-			}
-			dst[j] = v
-		}
-	}
-	for k := 0; k < n; k++ {
-		piv := lu[k*n+k]
-		apiv := cmplx.Abs(piv)
-		colMax := apiv
-		for _, i := range f.sym.lcol[k] {
-			if ab := cmplx.Abs(lu[int(i)*n+k]); ab > colMax {
-				colMax = ab
-			}
-		}
-		if apiv < pivotTiny || apiv < pivotTau*colMax {
-			return f.refactorFresh(a)
-		}
-		urow := f.sym.urow[k]
-		for _, ii := range f.sym.lcol[k] {
-			i := int(ii)
-			l := lu[i*n+k] / piv
-			lu[i*n+k] = l
-			if l == 0 {
-				continue
-			}
-			for _, jj := range urow {
-				j := int(jj)
-				lu[i*n+j] -= l * lu[k*n+j]
-			}
-		}
-	}
-	return nil
-}
-
-func (f *ComplexLU) refactorFresh(a []complex128) error {
-	nsq := len(a)
-	n := int(math.Round(math.Sqrt(float64(nsq))))
-	if n*n != nsq {
-		return fmt.Errorf("numeric: ComplexLU.Refactor input length %d is not a square", nsq)
-	}
-	if len(f.lu) != nsq {
-		f.lu = make([]complex128, nsq)
-	}
-	copy(f.lu, a)
-	return f.pivotingFactor(n)
-}
-
-// SolveInto solves A*x = b into x and returns x, via pattern-pruned
-// substitution. b is not modified; x must not alias b. It allocates
-// nothing.
-func (f *ComplexLU) SolveInto(x, b []complex128) []complex128 {
-	n := f.sym.n
-	if len(b) != n {
-		panic("numeric: rhs length mismatch in ComplexLU.SolveInto")
-	}
-	if len(x) != n {
-		panic("numeric: solution length mismatch in ComplexLU.SolveInto")
 	}
 	lu := f.lu
 	for i := 0; i < n; i++ {

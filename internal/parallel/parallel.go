@@ -4,16 +4,19 @@
 // off an atomic counter, with the caller responsible for writing results
 // into per-index slots so merge order stays deterministic.
 //
-// ForContext adds the run-control contract on top: a panic inside any job
-// is recovered, tagged with its job index, and re-raised exactly once on
-// the caller's goroutine (a bare go panic would kill the process from
-// an anonymous goroutine with no indication of which job died), and
+// ForContext adds the run-control contract on top, and is the one place
+// that contract is written: the first job error cancels its siblings and
+// the root cause (not a sibling's cancellation) is reported; a panic inside
+// any job is recovered, tagged with its job index, and re-raised exactly
+// once on the caller's goroutine (a bare go panic would kill the process
+// from an anonymous goroutine with no indication of which job died); and
 // cancelling the context stops the dispatch of new jobs — in-flight jobs
 // drain, then ctx.Err() is returned.
 package parallel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -38,25 +41,31 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: job %d panicked: %v", e.Index, e.Value)
 }
 
-// ForContext runs fn(i) for every i in [0, n), spread over min(workers, n)
-// goroutines fed by an atomic index counter. workers <= 0 selects
-// runtime.NumCPU(); workers == 1 runs the loop inline in ascending order
-// with no goroutines (the serial reference path). fn must be safe for
+// ForContext runs fn(ctx, i) for every i in [0, n), spread over
+// min(workers, n) goroutines fed by an atomic index counter. workers <= 0
+// selects runtime.NumCPU(); workers == 1 runs the loop inline in ascending
+// order with no goroutines (the serial reference path). fn must be safe for
 // concurrent invocation and must confine its writes to data owned by index
 // i, so results written to per-index slots stay bit-identical to the serial
 // path for every worker count.
 //
-// Two behaviours are layered on top:
+// Three behaviours are layered on top:
 //
-//   - Panic containment: a panic in any fn(i) is recovered and tagged with
+//   - Failure: the first job error cancels the ctx every job receives, so
+//     siblings stop instead of finishing their work, and no new jobs are
+//     dispatched. The returned error is the lowest-index job error that is
+//     not a cancellation; failing that, the lowest-index cancellation
+//     error; failing that, ctx.Err(). A sibling that fails only because
+//     the failure cancelled it therefore never hides the root cause.
+//   - Panic containment: a panic in any fn is recovered and tagged with
 //     its job index; remaining jobs are not dispatched, in-flight jobs
 //     finish, and the first recovered panic is re-raised exactly once on
 //     the caller's goroutine as a *PanicError.
 //   - Cancellation: when ctx is cancelled, no new jobs are dispatched;
-//     after in-flight jobs drain, ctx.Err() is returned. Jobs that already
-//     completed have fully written their slots — the caller sees a clean
-//     prefix-of-work, never a torn write.
-func ForContext(ctx context.Context, n, workers int, fn func(int)) error {
+//     after in-flight jobs drain, the error above is returned. Jobs that
+//     already completed have fully written their slots — the caller sees
+//     a clean prefix-of-work, never a torn write.
+func ForContext(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -66,13 +75,16 @@ func ForContext(ctx context.Context, n, workers int, fn func(int)) error {
 	if workers > n {
 		workers = n
 	}
-	// The first recovered panic wins; later ones (other workers may fail
-	// before they observe stop) are dropped so the caller fails exactly
-	// once.
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// stop is set by the first job error or panic. The first recovered
+	// panic wins; later ones (other workers may fail before they observe
+	// stop) are dropped so the caller fails exactly once.
 	var (
 		panicOnce sync.Once
 		recovered *PanicError
 		stop      atomic.Bool
+		errs      jobErrors
 	)
 	run := func(i int) {
 		defer func() {
@@ -83,21 +95,22 @@ func ForContext(ctx context.Context, n, workers int, fn func(int)) error {
 				stop.Store(true)
 			}
 		}()
-		fn(i)
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			run(i)
-			if stop.Load() {
-				panic(recovered)
-			}
+		if err := fn(runCtx, i); err != nil {
+			errs.note(i, err)
+			cancel()
+			stop.Store(true)
 		}
-		// Mirror the pooled path: a cancellation that lands during the
-		// final job still reports ctx.Err(), so both paths agree.
-		return ctx.Err()
+	}
+	// Dispatch polls stop and the caller's ctx, not runCtx: a cancelCtx's
+	// Err takes a mutex, which the workers would contend on per job.
+	if workers == 1 {
+		for i := 0; i < n && !stop.Load() && ctx.Err() == nil; i++ {
+			run(i)
+		}
+		if recovered != nil {
+			panic(recovered)
+		}
+		return errs.result(ctx)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -122,6 +135,41 @@ func ForContext(ctx context.Context, n, workers int, fn func(int)) error {
 	wg.Wait()
 	if recovered != nil {
 		panic(recovered)
+	}
+	return errs.result(ctx)
+}
+
+// jobErrors keeps the two errors ForContext may report: the lowest-index
+// root-cause error and the lowest-index cancellation error.
+type jobErrors struct {
+	mu               sync.Mutex
+	cause, cancelled error
+	causeI, cancelI  int
+}
+
+func (e *jobErrors) note(i int, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if e.cancelled == nil || i < e.cancelI {
+			e.cancelled, e.cancelI = err, i
+		}
+		return
+	}
+	if e.cause == nil || i < e.causeI {
+		e.cause, e.causeI = err, i
+	}
+}
+
+// result picks the error to surface once every job has returned.
+func (e *jobErrors) result(ctx context.Context) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch {
+	case e.cause != nil:
+		return e.cause
+	case e.cancelled != nil:
+		return e.cancelled
 	}
 	return ctx.Err()
 }

@@ -71,27 +71,6 @@ func (n *Network) TotalR() float64 {
 	return r
 }
 
-// Impedance returns the complex impedance seen by the load at frequency f
-// (Hz), with the source ideal (shorted). Computed by backward ladder
-// reduction: starting from the source, each step is a series R+jωL followed
-// by a parallel decap branch.
-func (n *Network) Impedance(f float64) complex128 {
-	omega := 2 * math.Pi * f
-	z := complex(0, 0) // ideal source
-	for _, s := range n.stages {
-		z += complex(s.R, omega*s.L)
-		// Shunt branch: ESR + 1/(jωC).
-		var zc complex128
-		if omega == 0 {
-			// DC: decap branch is open.
-			continue
-		}
-		zc = complex(s.ESR, -1/(omega*s.C))
-		z = z * zc / (z + zc)
-	}
-	return z
-}
-
 // StateSpace returns the LTI realization of the ladder:
 //
 //	states  x = [i_L1..i_Lk, v_C1..v_Ck]

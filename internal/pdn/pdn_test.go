@@ -199,3 +199,24 @@ func TestStateSpaceDimensions(t *testing.T) {
 		t.Errorf("C/D lengths %d/%d", len(c), len(d))
 	}
 }
+
+// Impedance returns the analytic complex impedance seen by the load at frequency f
+// (Hz), with the source ideal (shorted). Computed by backward ladder
+// reduction: starting from the source, each step is a series R+jωL followed
+// by a parallel decap branch.
+func (n *Network) Impedance(f float64) complex128 {
+	omega := 2 * math.Pi * f
+	z := complex(0, 0) // ideal source
+	for _, s := range n.stages {
+		z += complex(s.R, omega*s.L)
+		// Shunt branch: ESR + 1/(jωC).
+		var zc complex128
+		if omega == 0 {
+			// DC: decap branch is open.
+			continue
+		}
+		zc = complex(s.ESR, -1/(omega*s.C))
+		z = z * zc / (z + zc)
+	}
+	return z
+}

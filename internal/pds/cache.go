@@ -1,9 +1,7 @@
 package pds
 
 import (
-	"sync"
-	"sync/atomic"
-
+	"ivory/internal/memo"
 	"ivory/internal/workload"
 )
 
@@ -16,23 +14,14 @@ import (
 // count, supply voltage, seed, and the complete load model. Cached traces
 // are shared across callers and goroutines and are strictly read-only,
 // which the engine's determinism tests exercise under the race detector.
-var (
-	traceCache  sync.Map // traceKey -> [][]float64
-	traceHits   atomic.Int64
-	traceMisses atomic.Int64
+//
+// The memo is bounded (traceCacheLimit) so streams of one-off systems
+// cannot grow it without bound; once full it evicts the least recently
+// used key, so a long-lived process keeps caching the keys it currently
+// sees. One entry holds Cores full-length traces (~320 KB at case-study
+// settings), so the cap also bounds the resident set to a few tens of MB.
+var traceMemo = memo.New[traceKey, [][]float64](traceCacheLimit)
 
-	// traceRing lists the stored keys in insertion order, traceNext the
-	// oldest once the ring is full. Every store happens under traceMu.
-	traceMu   sync.Mutex
-	traceRing []traceKey
-	traceNext int
-)
-
-// traceCacheLimit bounds the memo so streams of one-off systems cannot grow
-// it without bound; at the limit, a new key evicts the oldest one, so a
-// long-lived process keeps caching the keys it currently sees. One entry
-// holds Cores full-length traces (~320 KB at case-study settings), so the
-// cap also bounds the resident set to a few tens of MB.
 const traceCacheLimit = 64
 
 type traceKey struct {
@@ -51,7 +40,7 @@ type traceKey struct {
 // wanting per-run telemetry snapshot before and diff after, with the same
 // caveat as topology.CacheStats: concurrent runs share the counters.
 func TraceCacheStats() (hits, misses int64) {
-	return traceHits.Load(), traceMisses.Load()
+	return traceMemo.Stats()
 }
 
 // FNV-1a, inlined rather than importing hash/fnv so the digest helpers stay
@@ -102,30 +91,10 @@ func (s *System) coreCurrentsCached(src workload.Source, dt float64, n int, v fl
 		seed:     s.Seed,
 		load:     s.Load,
 	}
-	if got, ok := traceCache.Load(key); ok {
-		traceHits.Add(1)
-		return got.([][]float64)
+	if got, ok := traceMemo.Get(key); ok {
+		return got
 	}
-	traceMisses.Add(1)
 	out := s.coreCurrents(src, dt, n, v)
-	storeTrace(key, out)
+	traceMemo.Put(key, out)
 	return out
-}
-
-// storeTrace memoizes traces under key, evicting the oldest entry when the
-// memo is full. A key another goroutine stored first is left as it is.
-func storeTrace(key traceKey, traces [][]float64) {
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	if _, ok := traceCache.Load(key); ok {
-		return
-	}
-	if len(traceRing) < traceCacheLimit {
-		traceRing = append(traceRing, key)
-	} else {
-		traceCache.Delete(traceRing[traceNext])
-		traceRing[traceNext] = key
-		traceNext = (traceNext + 1) % traceCacheLimit
-	}
-	traceCache.Store(key, traces)
 }

@@ -117,9 +117,7 @@ func TestTraceCacheEvictsAtLimit(t *testing.T) {
 	if h1, _ := TraceCacheStats(); h1 != h0+1 {
 		t.Errorf("repeat of a new key after %d one-off keys missed: hits %d -> %d", traceCacheLimit, h0, h1)
 	}
-	n := 0
-	traceCache.Range(func(any, any) bool { n++; return true })
-	if n > traceCacheLimit {
+	if n := traceMemo.Len(); n > traceCacheLimit {
 		t.Errorf("memo holds %d entries, limit %d", n, traceCacheLimit)
 	}
 }

@@ -1,77 +1,9 @@
 package server
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
-
-// resultCache is a fixed-capacity LRU over completed responses, keyed by
-// the canonical spec/request hash. Values are treated as immutable once
-// stored: readers share the cached pointer and must copy before mutating
-// (ExploreResponse.Trimmed does exactly that).
-type resultCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-
-	hits, misses atomic.Int64
-}
-
-type cacheEntry struct {
-	key string
-	val any
-}
-
-// newResultCache builds a cache holding up to capacity entries;
-// capacity <= 0 disables caching (every Get misses, Put is a no-op).
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, ll: list.New(), items: map[string]*list.Element{}}
-}
-
-func (c *resultCache) Get(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits.Add(1)
-	return el.Value.(*cacheEntry).val, true
-}
-
-func (c *resultCache) Put(key string, val any) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).val = val
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-	}
-}
-
-func (c *resultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Stats returns the lifetime hit/miss counters.
-func (c *resultCache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
 
 // flight is one in-progress computation that concurrent identical requests
 // share. done is closed exactly once, after val/err are set.

@@ -1,13 +1,25 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
+
+	"ivory/internal/memo"
 )
 
+// resultCache returns the result cache of a server built with the given
+// Config.CacheEntries, so these tests pin how the config sizes the cache.
+func resultCache(t *testing.T, entries int) *memo.LRU[string, any] {
+	t.Helper()
+	s := New(Config{Workers: 1, CacheEntries: entries})
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	return s.cache
+}
+
 func TestLRUEvictsOldest(t *testing.T) {
-	c := newResultCache(2)
+	c := resultCache(t, 2)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	if _, ok := c.Get("a"); !ok { // refresh a; b becomes oldest
@@ -33,7 +45,7 @@ func TestLRUEvictsOldest(t *testing.T) {
 }
 
 func TestLRUUpdateExistingKey(t *testing.T) {
-	c := newResultCache(2)
+	c := resultCache(t, 2)
 	c.Put("a", 1)
 	c.Put("a", 2)
 	if c.Len() != 1 {
@@ -44,8 +56,9 @@ func TestLRUUpdateExistingKey(t *testing.T) {
 	}
 }
 
+// A negative Config.CacheEntries disables caching.
 func TestLRUDisabled(t *testing.T) {
-	c := newResultCache(-1)
+	c := resultCache(t, -1)
 	c.Put("a", 1)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("disabled cache stored a value")

@@ -192,3 +192,46 @@ func TestSpecDTORoundTrip(t *testing.T) {
 		t.Errorf("kinds round trip: %v", out.Kinds)
 	}
 }
+
+// FuzzExploreRequest runs arbitrary bodies through the explore admission
+// front end exactly as the handlers do — strict decode (unknown fields
+// rejected, as decodeJSON), SpecDTO.ToSpec, Spec.Normalized, SpecHash —
+// and checks that none of it panics and that normalizing is idempotent
+// under SpecHash: a normalized spec normalizes to the same cache key.
+func FuzzExploreRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"spec":{"node":"45nm","vin_v":1.8,"vout_v":0.9,"imax_a":1,"area_mm2":2}}`,
+		`{"spec":{"node":"22nm","vin_v":3.3,"vout_v":1,"imax_a":6,"area_mm2":6,"objective":"area","kinds":["SC","buck"],"search":"adaptive"},"top":-1,"timeout_ms":50}`,
+		`{"spec":{"node":"45nm","vin_v":1.8,"vout_v":0.9,"imax_a":1,"area_mm2":2,"ripple_max_v":0.01,"efficiency_floor":0.5,"fsw_max_hz":5e8},"async":true}`,
+		`{"spec":{"node":"nope","vin_v":-1,"vout_v":0,"imax_a":0,"area_mm2":0,"kinds":["flux"]}}`,
+		`{"spec":{},"extra":1}`,
+		`{"spec":{"vin_v":1e309}}`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req ExploreRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			return
+		}
+		spec, err := req.Spec.ToSpec()
+		if err != nil {
+			return
+		}
+		norm, err := spec.Normalized()
+		if err != nil {
+			return
+		}
+		hash := SpecHash(norm)
+		again, err := norm.Normalized()
+		if err != nil {
+			t.Fatalf("normalized spec %+v fails to re-normalize: %v", norm, err)
+		}
+		if h := SpecHash(again); h != hash {
+			t.Fatalf("Normalized is not idempotent under SpecHash: %s -> %s for %+v", hash, h, norm)
+		}
+	})
+}

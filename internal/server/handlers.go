@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"ivory/internal/core"
 	"ivory/internal/ivr"
 )
 
@@ -114,11 +115,12 @@ func isCancel(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// dispatch runs the shared post-validation flow of the two compute
-// endpoints: admission (cache -> singleflight -> bounded queue), then
-// either a 202 with an async job record or a synchronous wait on the
-// flight. render writes the success body (val may carry a ranked partial
-// alongside a cancel-shaped err); onError maps terminal failures.
+// dispatch runs the shared post-validation flow of the request/response
+// compute endpoints (explore, transient, hybrid, shard): admission (cache
+// -> singleflight -> bounded queue), then either a 202 with an async job
+// record or a synchronous wait on the flight. render writes the success
+// body (val may carry a ranked partial alongside a cancel-shaped err);
+// onError maps terminal failures.
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, endpoint, hash string, async bool,
 	timeout time.Duration, fn jobFunc, render func(w http.ResponseWriter, val any), onError func(w http.ResponseWriter, err error)) {
 	fl, err := s.execute(endpoint, hash, timeout, fn)
@@ -139,8 +141,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, endpoint, hash
 	select {
 	case <-fl.done:
 	case <-r.Context().Done():
-		s.writeError(w, http.StatusGatewayTimeout,
-			"request abandoned while the computation runs; retry to pick up the cached result")
+		s.writeError(w, http.StatusGatewayTimeout, "request abandoned while the computation runs")
 		return
 	}
 	val, ferr := fl.wait()
@@ -151,6 +152,36 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, endpoint, hash
 	// val != nil with a cancel-shaped ferr is a ranked partial (deadline or
 	// drain): it ships as a 200 with cancelled=true and the error inline.
 	render(w, val)
+}
+
+// exploreJob is the one compute job behind /v1/explore and
+// /v1/explore/stream, so both admit through execute and coalesce on the
+// spec hash. hook, when non-nil, installs per-run callbacks
+// (Progress/OnImproved) on the spec the engine receives; a request that
+// joins another request's flight never runs its own job, so its hook
+// never fires.
+func (s *Server) exploreJob(norm core.Spec, hook func(*core.Spec)) jobFunc {
+	engineWorkers := s.cfg.EngineWorkers
+	return func(ctx context.Context) (any, error, bool) {
+		sp := norm
+		sp.Context = ctx
+		sp.Workers = engineWorkers
+		if hook != nil {
+			hook(&sp)
+		}
+		res, xerr := s.explore(sp)
+		if xerr != nil {
+			if res != nil && len(res.Candidates) > 0 && (isCancel(xerr) || errors.Is(xerr, ErrIncomplete)) {
+				// Ranked partial (deadline/drain/lost shards): deliver,
+				// don't cache.
+				s.metrics.notePruned(res.Stats.PrunedBound, res.Stats.PrunedHalving)
+				return ExploreResponseFromResult(res, xerr), xerr, false
+			}
+			return nil, xerr, false
+		}
+		s.metrics.notePruned(res.Stats.PrunedBound, res.Stats.PrunedHalving)
+		return ExploreResponseFromResult(res, nil), nil, true
+	}
 }
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
@@ -169,24 +200,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hash := SpecHash(norm)
-	engineWorkers := s.cfg.EngineWorkers
-	fn := func(ctx context.Context) (any, error, bool) {
-		sp := norm
-		sp.Context = ctx
-		sp.Workers = engineWorkers
-		res, xerr := s.explore(sp)
-		if xerr != nil {
-			if res != nil && len(res.Candidates) > 0 && (isCancel(xerr) || errors.Is(xerr, ErrIncomplete)) {
-				// Ranked partial (deadline/drain/lost shards): deliver,
-				// don't cache.
-				s.metrics.notePruned(res.Stats.PrunedBound, res.Stats.PrunedHalving)
-				return ExploreResponseFromResult(res, xerr), xerr, false
-			}
-			return nil, xerr, false
-		}
-		s.metrics.notePruned(res.Stats.PrunedBound, res.Stats.PrunedHalving)
-		return ExploreResponseFromResult(res, nil), nil, true
-	}
+	fn := s.exploreJob(norm, nil)
 	s.dispatch(w, r, "explore", hash, req.Async, s.timeoutFor(req.TimeoutMS), fn,
 		func(w http.ResponseWriter, val any) {
 			writeJSON(w, http.StatusOK, val.(*ExploreResponse).Trimmed(req.Top))

@@ -13,6 +13,7 @@ import (
 
 	"ivory/internal/core"
 	"ivory/internal/experiments"
+	"ivory/internal/memo"
 	"ivory/internal/parallel"
 	"ivory/internal/soc"
 )
@@ -103,9 +104,13 @@ var errDraining = errors.New("server: draining")
 // and drain. Build with New, mount Handler on any http.Server or call
 // Serve, stop with Shutdown.
 type Server struct {
-	cfg      Config
-	pool     *parallel.Pool
-	cache    *resultCache
+	cfg  Config
+	pool *parallel.Pool
+	// cache holds completed responses under the canonical spec/request
+	// hash. Readers share the cached pointer and must copy before
+	// mutating (ExploreResponse.Trimmed does exactly that).
+	cache *memo.LRU[string, any]
+
 	flights  *flightGroup
 	jobs     *jobRegistry
 	metrics  *metrics
@@ -140,7 +145,7 @@ func New(cfg Config) *Server {
 	cfg.defaults()
 	s := &Server{
 		cfg:       cfg,
-		cache:     newResultCache(cfg.CacheEntries),
+		cache:     memo.New[string, any](cfg.CacheEntries),
 		flights:   newFlightGroup(),
 		jobs:      newJobRegistry(cfg.JobHistory, cfg.JobTTL),
 		metrics:   newMetrics(),

@@ -188,32 +188,22 @@ func (s *Server) handleShardExplore(w http.ResponseWriter, r *http.Request) {
 		}
 		return resp, nil, false
 	}
-	fl, err := s.execute("shard", key, s.timeoutFor(req.TimeoutMS), fn)
-	if err != nil {
-		s.submitError(w, err)
-		return
-	}
-	select {
-	case <-fl.done:
-	case <-r.Context().Done():
-		s.writeError(w, http.StatusGatewayTimeout, "shard request abandoned while the slice runs")
-		return
-	}
-	val, ferr := fl.wait()
-	if ferr != nil {
-		switch {
-		case errors.Is(ferr, errShardSkew):
-			s.writeError(w, http.StatusConflict, ferr.Error())
-		case isCancel(ferr):
-			// Deadline or drain mid-slice: the coordinator should retry the
-			// whole slice on another replica.
-			s.writeError(w, http.StatusServiceUnavailable, "shard evaluation interrupted: "+ferr.Error())
-		default:
-			// Bad ranges and invalid refs surface here (the engine validates
-			// before evaluating).
-			s.writeError(w, http.StatusBadRequest, ferr.Error())
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, val)
+	s.dispatch(w, r, "shard", key, false, s.timeoutFor(req.TimeoutMS), fn,
+		func(w http.ResponseWriter, val any) {
+			writeJSON(w, http.StatusOK, val)
+		},
+		func(w http.ResponseWriter, err error) {
+			switch {
+			case errors.Is(err, errShardSkew):
+				s.writeError(w, http.StatusConflict, err.Error())
+			case isCancel(err):
+				// Deadline or drain mid-slice: the coordinator should retry
+				// the whole slice on another replica.
+				s.writeError(w, http.StatusServiceUnavailable, "shard evaluation interrupted: "+err.Error())
+			default:
+				// Bad ranges and invalid refs surface here (the engine
+				// validates before evaluating).
+				s.writeError(w, http.StatusBadRequest, err.Error())
+			}
+		})
 }

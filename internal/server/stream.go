@@ -1,12 +1,9 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"ivory/internal/core"
 )
@@ -27,9 +24,15 @@ import (
 // Exactly one terminal event (result | error) ends every stream. The
 // telemetry events are best-effort: a slow reader sheds progress/best
 // events rather than stalling the engine, so consumers must treat them as
-// a sampled view. The final result is also published to the result cache,
-// so a later synchronous POST /v1/explore with the same spec hash returns
-// the identical body without recomputing.
+// a sampled view.
+//
+// The stream admits through the same path as POST /v1/explore (Server.
+// execute with the shared exploreJob): result cache, then singleflight on
+// the spec hash, then the bounded queue. A cache hit, or a stream that
+// joins a flight another request started, therefore gets only the terminal
+// event; and the final result is published to the result cache, so a later
+// synchronous POST /v1/explore with the same spec hash returns the
+// identical body without recomputing.
 
 // progressStride samples the per-job progress callback down to one event
 // every N completed jobs; the final job always emits.
@@ -71,100 +74,6 @@ func jsonEvent(name string, v any) sseEvent {
 	return sseEvent{name: name, data: data}
 }
 
-// submitStream admits one streaming exploration: result cache first, then
-// the bounded queue — the same backpressure as the synchronous path (a
-// full queue sheds the stream with 429 before any event is written).
-// Telemetry arrives on events until it closes; exactly one terminal event
-// then arrives on final. The compute job never blocks on the consumer:
-// telemetry sends are lossy and the final channel is buffered, so an
-// abandoned stream drains and caches like a normal job.
-func (s *Server) submitStream(hash string, timeout time.Duration, norm core.Spec) (<-chan sseEvent, <-chan sseEvent, error) {
-	if s.draining.Load() {
-		return nil, nil, errDraining
-	}
-	events := make(chan sseEvent, 64)
-	final := make(chan sseEvent, 1)
-	if v, ok := s.cache.Get(hash); ok {
-		close(events)
-		final <- jsonEvent("result", v)
-		return events, final, nil
-	}
-	engineWorkers := s.cfg.EngineWorkers
-	s.inflight.Add(1)
-	submitted := s.pool.TrySubmit(func() {
-		defer s.inflight.Done()
-		start := time.Now()
-		defer func() { s.drainEst.note(time.Since(start)) }()
-		ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
-		defer cancel()
-
-		push := func(ev sseEvent) {
-			select {
-			case events <- ev:
-			default: // slow or gone consumer: shed telemetry, never stall
-			}
-		}
-		sp := norm
-		sp.Context = ctx
-		sp.Workers = engineWorkers
-		sp.Progress = func(st core.Stats) {
-			if st.Done%progressStride == 0 || st.Done == st.Jobs {
-				push(jsonEvent("progress", StreamProgressEvent{
-					Jobs: st.Jobs, Done: st.Done,
-					Evaluated: st.Evaluated(), Accepted: st.Accepted(),
-					PrunedBound: st.PrunedBound, PrunedHalving: st.PrunedHalving,
-					FrontSize: st.FrontSize,
-				}))
-			}
-		}
-		sp.OnImproved = func(c core.Candidate, st core.Stats) {
-			push(jsonEvent("best", StreamBestEvent{
-				Candidate: candidateDTO(c),
-				Evaluated: st.Evaluated(), Pruned: st.Pruned(),
-				FrontSize: st.FrontSize,
-			}))
-		}
-
-		var ev sseEvent
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					s.panics.Add(1)
-					ev = jsonEvent("error", ErrorResponse{Error: fmt.Sprintf("server: explore_stream job panicked: %v", r)})
-				}
-			}()
-			res, err := s.explore(sp)
-			switch {
-			case err == nil:
-				resp := ExploreResponseFromResult(res, nil)
-				s.metrics.notePruned(res.Stats.PrunedBound, res.Stats.PrunedHalving)
-				// Publish so a later synchronous request for the same spec
-				// hash returns this exact body from the cache.
-				s.cache.Put(hash, resp)
-				ev = jsonEvent("result", resp)
-			case res != nil && len(res.Candidates) > 0 && (isCancel(err) || errors.Is(err, ErrIncomplete)):
-				// Ranked partial (deadline/drain/lost shards): terminal
-				// result with cancelled=true, not cached.
-				s.metrics.notePruned(res.Stats.PrunedBound, res.Stats.PrunedHalving)
-				ev = jsonEvent("result", ExploreResponseFromResult(res, err))
-			default:
-				ev = jsonEvent("error", ErrorResponse{Error: err.Error()})
-			}
-		}()
-		// Telemetry closes before the terminal event is offered, so the
-		// handler can drain events fully and still write the terminal last.
-		close(events)
-		final <- ev
-	})
-	if !submitted {
-		s.inflight.Done()
-		s.metrics.jobsRejected.inc(endpointLabel("explore_stream"))
-		return nil, nil, ErrBusy
-	}
-	s.metrics.jobsSubmitted.inc(endpointLabel("explore_stream"))
-	return events, final, nil
-}
-
 func (s *Server) handleExploreStream(w http.ResponseWriter, r *http.Request) {
 	var req ExploreRequest
 	if !s.decodeJSON(w, r, &req) {
@@ -184,8 +93,34 @@ func (s *Server) handleExploreStream(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	hash := SpecHash(norm)
-	events, final, err := s.submitStream(hash, s.timeoutFor(req.TimeoutMS), norm)
+	// Telemetry sends are lossy, so the compute job never blocks on this
+	// consumer: an abandoned stream drains and caches like a normal job.
+	events := make(chan sseEvent, 64)
+	push := func(ev sseEvent) {
+		select {
+		case events <- ev:
+		default: // slow or gone consumer: shed telemetry, never stall
+		}
+	}
+	fl, err := s.execute("explore_stream", SpecHash(norm), s.timeoutFor(req.TimeoutMS), s.exploreJob(norm, func(sp *core.Spec) {
+		sp.Progress = func(st core.Stats) {
+			if st.Done%progressStride == 0 || st.Done == st.Jobs {
+				push(jsonEvent("progress", StreamProgressEvent{
+					Jobs: st.Jobs, Done: st.Done,
+					Evaluated: st.Evaluated(), Accepted: st.Accepted(),
+					PrunedBound: st.PrunedBound, PrunedHalving: st.PrunedHalving,
+					FrontSize: st.FrontSize,
+				}))
+			}
+		}
+		sp.OnImproved = func(c core.Candidate, st core.Stats) {
+			push(jsonEvent("best", StreamBestEvent{
+				Candidate: candidateDTO(c),
+				Evaluated: st.Evaluated(), Pruned: st.Pruned(),
+				FrontSize: st.FrontSize,
+			}))
+		}
+	}))
 	if err != nil {
 		s.submitError(w, err)
 		return
@@ -207,17 +142,23 @@ func (s *Server) handleExploreStream(w http.ResponseWriter, r *http.Request) {
 	}
 	for {
 		select {
-		case ev, ok := <-events:
-			if !ok {
-				// Telemetry done; exactly one terminal event follows.
-				select {
-				case tev := <-final:
-					writeEvent(tev)
-				case <-r.Context().Done():
-				}
-				return
-			}
+		case ev := <-events:
 			writeEvent(ev)
+		case <-fl.done:
+			// Every telemetry send happened before the job resolved the
+			// flight, so what is buffered now is all there will be: drain
+			// it, then write exactly one terminal event.
+			for len(events) > 0 {
+				writeEvent(<-events)
+			}
+			val, ferr := fl.wait()
+			if val != nil {
+				// Success, or a ranked partial with cancelled=true.
+				writeEvent(jsonEvent("result", val))
+			} else {
+				writeEvent(jsonEvent("error", ErrorResponse{Error: ferr.Error()}))
+			}
+			return
 		case <-r.Context().Done():
 			// Client gone: the job keeps computing and caches its result;
 			// only this subscription ends.

@@ -7,8 +7,10 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ivory/internal/core"
 )
@@ -213,5 +215,73 @@ func TestStreamRejectsAsyncAndBadSpecs(t *testing.T) {
 
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestStreamCoalescesWithSynchronousExplore: a stream for a spec that a
+// synchronous /v1/explore is already computing joins that flight instead
+// of running the engine again, and gets only the terminal event.
+func TestStreamCoalescesWithSynchronousExplore(t *testing.T) {
+	s := New(Config{Workers: 2, QueueDepth: 4, EngineWorkers: 1})
+	var calls atomic.Int64
+	release := make(chan struct{})
+	s.explore = func(sp core.Spec) (*core.Result, error) {
+		calls.Add(1)
+		<-release
+		return fakeExploreResult(sp, 2), nil
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// Runs before ts.Close, so a failure below cannot leave handlers
+	// blocked in the engine.
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+
+	syncBody := make(chan []byte, 1)
+	go func() {
+		_, b := postJSON(t, ts.URL+"/v1/explore", `{"top":-1,"spec":`+strings.TrimPrefix(specBody(0.9), `{"spec":`))
+		syncBody <- b
+	}()
+	waitFor(t, "the synchronous request to start the engine", func() bool { return calls.Load() == 1 })
+	streamRaw := make(chan []byte, 1)
+	go func() {
+		_, b := postJSON(t, ts.URL+"/v1/explore/stream", specBody(0.9))
+		streamRaw <- b
+	}()
+	waitFor(t, "the stream to join the flight", func() bool { return s.flights.Coalesced() == 1 })
+	unblock()
+
+	events := parseSSE(t, <-streamRaw)
+	if len(events) != 1 || events[0].name != "result" {
+		t.Fatalf("coalesced stream: got %d events, want exactly one result", len(events))
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("engine ran %d times for a stream alongside an identical explore, want 1", got)
+	}
+	var fromStream, fromSync any
+	if err := json.Unmarshal(events[0].data, &fromStream); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(<-syncBody, &fromSync); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromStream, fromSync) {
+		t.Errorf("coalesced stream result differs from the synchronous body")
+	}
+
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

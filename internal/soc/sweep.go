@@ -238,28 +238,16 @@ func Sweep(spec SweepSpec) (*SweepResult, error) {
 		LDOHeadroomV:  headroomV,
 		Cells:         make([]Cell, D*R),
 	}
-	errs := make([]error, D*R)
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ferr := parallel.ForContext(runCtx, D*R, spec.Workers, func(i int) {
+	err = parallel.ForContext(ctx, D*R, spec.Workers, func(ctx context.Context, i int) error {
 		di, ri := i/R, i%R
 		scr := scratchPool.Get().(*pds.Scratch)
-		cell, cerr := evaluateCell(runCtx, fl, fl.Domains[di], rails[ri], designs[di], T, dt, headroomV, scr)
-		scratchPool.Put(scr)
-		if cerr != nil {
-			errs[i] = cerr
-			cancel()
-			return
-		}
+		defer scratchPool.Put(scr)
+		cell, err := evaluateCell(ctx, fl, fl.Domains[di], rails[ri], designs[di], T, dt, headroomV, scr)
 		res.Cells[i] = cell
+		return err
 	})
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	if ferr != nil {
-		return nil, ferr
+	if err != nil {
+		return nil, err
 	}
 	res.Stats.Cells = D * R
 	for _, c := range res.Cells {

@@ -1,16 +1,14 @@
 package spice
 
-// Reference implementations of the transient and AC analyses as they were
-// before the structure-aware kernel overhaul: per-state dense rebuild +
-// numeric.Factorize for Tran, a fresh dense complex Gaussian elimination
-// per frequency for AC. The equivalence suite pins the production paths
-// against these — they are the ground truth the optimized kernels must
-// reproduce within 1e-9 relative tolerance.
+// Reference implementation of the transient analysis as it was before the
+// structure-aware kernel overhaul: per-state dense rebuild +
+// numeric.Factorize. The equivalence suite pins the production path
+// against it — it is the ground truth the optimized kernel must reproduce
+// within 1e-9 relative tolerance.
 
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"ivory/internal/numeric"
 )
@@ -325,180 +323,4 @@ func tranDenseRef(c *Circuit, h, T float64) (*Result, error) {
 		record(t)
 	}
 	return res, nil
-}
-
-// acDenseRef is the pre-overhaul AC: a fresh dense complex matrix and a
-// full pivoted Gaussian elimination at every frequency.
-func acDenseRef(c *Circuit, freqs []float64, acSource string) (*ACResult, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
-	if len(freqs) == 0 {
-		return nil, fmt.Errorf("spice: AC needs at least one frequency")
-	}
-	found := false
-	for _, e := range c.elems {
-		if (e.kind == kindV || e.kind == kindI) && e.name == acSource {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("spice: AC source %q not found", acSource)
-	}
-	n := len(c.nodeName)
-	nb := 0
-	for _, e := range c.elems {
-		if e.kind == kindV || e.kind == kindVCVS {
-			e.branch = n + nb
-			nb++
-		}
-	}
-	dim := n + nb
-	if dim == 0 {
-		return nil, fmt.Errorf("spice: empty circuit")
-	}
-	res := &ACResult{Freqs: append([]float64(nil), freqs...), V: map[string][]complex128{}}
-	for _, name := range c.nodeName {
-		res.V[name] = make([]complex128, len(freqs))
-	}
-	for fi, f := range freqs {
-		omega := 2 * math.Pi * f
-		m := make([]complex128, dim*dim)
-		rhs := make([]complex128, dim)
-		stamp := func(a, b int, y complex128) {
-			if a >= 0 {
-				m[a*dim+a] += y
-			}
-			if b >= 0 {
-				m[b*dim+b] += y
-			}
-			if a >= 0 && b >= 0 {
-				m[a*dim+b] -= y
-				m[b*dim+a] -= y
-			}
-		}
-		for _, e := range c.elems {
-			switch e.kind {
-			case kindR:
-				stamp(e.a, e.b, complex(1/e.value, 0))
-			case kindC:
-				stamp(e.a, e.b, complex(0, omega*e.value))
-			case kindL:
-				if omega == 0 {
-					stamp(e.a, e.b, complex(1e9, 0))
-				} else {
-					stamp(e.a, e.b, complex(0, -1/(omega*e.value)))
-				}
-			case kindSW:
-				r := e.roff
-				if e.ctrl(0) {
-					r = e.ron
-				}
-				stamp(e.a, e.b, complex(1/r, 0))
-			case kindV:
-				if e.a >= 0 {
-					m[e.a*dim+e.branch] += 1
-					m[e.branch*dim+e.a] += 1
-				}
-				if e.b >= 0 {
-					m[e.b*dim+e.branch] -= 1
-					m[e.branch*dim+e.b] -= 1
-				}
-				if e.name == acSource {
-					rhs[e.branch] = 1
-				}
-			case kindVCVS:
-				if e.a >= 0 {
-					m[e.a*dim+e.branch] += 1
-					m[e.branch*dim+e.a] += 1
-				}
-				if e.b >= 0 {
-					m[e.b*dim+e.branch] -= 1
-					m[e.branch*dim+e.b] -= 1
-				}
-				if e.cp >= 0 {
-					m[e.branch*dim+e.cp] -= complex(e.gain, 0)
-				}
-				if e.cn >= 0 {
-					m[e.branch*dim+e.cn] += complex(e.gain, 0)
-				}
-			case kindVCCS:
-				g := complex(e.gain, 0)
-				addAt := func(row, col int, v complex128) {
-					if row >= 0 && col >= 0 {
-						m[row*dim+col] += v
-					}
-				}
-				addAt(e.a, e.cp, g)
-				addAt(e.a, e.cn, -g)
-				addAt(e.b, e.cp, -g)
-				addAt(e.b, e.cn, g)
-			case kindI:
-				if e.name == acSource {
-					if e.a >= 0 {
-						rhs[e.a] += 1
-					}
-					if e.b >= 0 {
-						rhs[e.b] -= 1
-					}
-				}
-			}
-		}
-		for i := 0; i < n; i++ {
-			m[i*dim+i] += 1e-12
-		}
-		x, err := refSolveComplex(m, rhs, dim)
-		if err != nil {
-			return nil, fmt.Errorf("spice: AC solve failed at %g Hz: %w", f, err)
-		}
-		for i, name := range c.nodeName {
-			res.V[name][fi] = x[i]
-		}
-	}
-	return res, nil
-}
-
-func refSolveComplex(m []complex128, b []complex128, n int) ([]complex128, error) {
-	a := make([]complex128, len(m))
-	copy(a, m)
-	x := make([]complex128, n)
-	copy(x, b)
-	for k := 0; k < n; k++ {
-		p, mx := k, cmplx.Abs(a[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if ab := cmplx.Abs(a[i*n+k]); ab > mx {
-				p, mx = i, ab
-			}
-		}
-		if mx < 1e-300 {
-			return nil, fmt.Errorf("singular complex matrix")
-		}
-		if p != k {
-			for j := 0; j < n; j++ {
-				a[p*n+j], a[k*n+j] = a[k*n+j], a[p*n+j]
-			}
-			x[p], x[k] = x[k], x[p]
-		}
-		piv := a[k*n+k]
-		for i := k + 1; i < n; i++ {
-			l := a[i*n+k] / piv
-			if l == 0 {
-				continue
-			}
-			a[i*n+k] = 0
-			for j := k + 1; j < n; j++ {
-				a[i*n+j] -= l * a[k*n+j]
-			}
-			x[i] -= l * x[k]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= a[i*n+j] * x[j]
-		}
-		x[i] = s / a[i*n+i]
-	}
-	return x, nil
 }

@@ -265,23 +265,6 @@ func TestVCVSFeedbackDivider(t *testing.T) {
 	}
 }
 
-func TestControlledSourcesInAC(t *testing.T) {
-	// VCCS into a capacitor forms an integrator: |H| falls as 1/f.
-	c := NewCircuit()
-	c.V("vac", "in", "0", DC(0))
-	c.G("g1", "0", "out", "in", "0", 1e-3) // current INTO out
-	c.C("c1", "out", "0", 1e-9, 0)
-	c.R("rbig", "out", "0", 1e9)
-	res, err := c.AC([]float64{1e3, 1e4, 1e5}, "vac")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h1, h2 := res.Mag("out", 0), res.Mag("out", 1)
-	if math.Abs(h1/h2-10) > 0.2 {
-		t.Errorf("integrator slope wrong: %v / %v", h1, h2)
-	}
-}
-
 func TestParseControlledSources(t *testing.T) {
 	deck := `
 V1 in 0 0.1

@@ -3,8 +3,8 @@ package topology
 import (
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
+
+	"ivory/internal/memo"
 )
 
 // Analyze results are memoized package-wide: every Explore call re-derives
@@ -18,13 +18,13 @@ import (
 // Cached values (including errors, which are just as deterministic) are
 // shared across callers and goroutines; Analysis is treated as read-only
 // everywhere in the tree, which the determinism tests exercise under the
-// race detector.
-var (
-	analyzeCache sync.Map // canonical key -> cachedAnalysis
-	analyzeCount atomic.Int64
-	cacheHits    atomic.Int64
-	cacheMisses  atomic.Int64
-)
+// race detector. The memo is bounded (analyzeCacheLimit) so adversarial
+// streams of one-off custom netlists cannot grow it without bound; once
+// full it evicts the least recently used analysis. A lookup happens once
+// per ratio per enumeration, so its mutex stays off the hot path.
+var analyzeMemo = memo.New[string, cachedAnalysis](analyzeCacheLimit)
+
+const analyzeCacheLimit = 512
 
 // CacheStats returns the cumulative hit/miss counters of the package-wide
 // Analyze memo. The counters only grow; callers wanting per-run telemetry
@@ -33,13 +33,8 @@ var (
 // flight attributes its lookups too — the numbers are telemetry, not an
 // accounting invariant.
 func CacheStats() (hits, misses int64) {
-	return cacheHits.Load(), cacheMisses.Load()
+	return analyzeMemo.Stats()
 }
-
-// analyzeCacheLimit bounds the memo so adversarial streams of one-off
-// custom netlists cannot grow it without bound; past the limit, analyses
-// are computed but not stored.
-const analyzeCacheLimit = 512
 
 type cachedAnalysis struct {
 	an  *Analysis
@@ -70,37 +65,14 @@ func (t *Topology) cacheKey() string {
 	return b.String()
 }
 
-// analyzeCached returns the memoized analysis for t, computing and
-// (size permitting) storing it on first sight.
-//
-// The size cap is enforced by reserving a slot before storing: a plain
-// "check count, then LoadOrStore" lets N concurrent first-sight misses all
-// pass the check at count limit-1 and overshoot the bound by up to the
-// worker count. The CAS increment below admits exactly one storer per free
-// slot; a storer that then loses the LoadOrStore race (another goroutine
-// inserted the same key first) returns its reservation, so analyzeCount
-// always equals the number of entries actually resident.
+// analyzeCached returns the memoized analysis for t, computing and storing
+// it on first sight.
 func (t *Topology) analyzeCached() (*Analysis, error) {
 	key := t.cacheKey()
-	if v, ok := analyzeCache.Load(key); ok {
-		cacheHits.Add(1)
-		c := v.(cachedAnalysis)
+	if c, ok := analyzeMemo.Get(key); ok {
 		return c.an, c.err
 	}
-	cacheMisses.Add(1)
 	an, err := t.analyze()
-	for {
-		n := analyzeCount.Load()
-		if n >= analyzeCacheLimit {
-			// Cache full: computed but not stored, as before.
-			return an, err
-		}
-		if !analyzeCount.CompareAndSwap(n, n+1) {
-			continue // another goroutine moved the count; re-check the cap
-		}
-		if _, loaded := analyzeCache.LoadOrStore(key, cachedAnalysis{an: an, err: err}); loaded {
-			analyzeCount.Add(-1) // lost the insert race; give the slot back
-		}
-		return an, err
-	}
+	analyzeMemo.Put(key, cachedAnalysis{an: an, err: err})
+	return an, err
 }

@@ -24,20 +24,11 @@ func TestAnalyzeCacheStatsCount(t *testing.T) {
 	}
 }
 
-// TestAnalyzeCacheCapConcurrent floods the memo with unique one-off
-// netlists from many goroutines. The reserve-then-store CAS must hold the
-// resident entry count exactly equal to analyzeCount and never let it
-// overshoot analyzeCacheLimit — the old check-then-store version let N
-// concurrent first-sight misses all pass the cap check at limit-1 and
-// overshoot by up to the worker count. Run under -race in CI.
+// TestAnalyzeCacheCapConcurrent floods the memo with 1,536 unique one-off
+// netlists from many goroutines (run under -race in CI). The memo must
+// stay within its 512-entry cap and, once full, still cache a new key
+// instead of freezing on the first 512 it saw.
 func TestAnalyzeCacheCapConcurrent(t *testing.T) {
-	// The flood fills the package-global memo to its cap, which would
-	// starve every later test of cache slots; drain it on the way out.
-	// Tests in this package run sequentially, so the reset cannot race.
-	defer func() {
-		analyzeCache.Range(func(k, _ any) bool { analyzeCache.Delete(k); return true })
-		analyzeCount.Store(0)
-	}()
 	const workers = 16
 	const perWorker = 96 // 1536 unique keys, well past the 512-entry cap
 	var wg sync.WaitGroup
@@ -57,25 +48,23 @@ func TestAnalyzeCacheCapConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	entries := int64(0)
-	analyzeCache.Range(func(_, _ any) bool { entries++; return true })
-	count := analyzeCount.Load()
-	if count > analyzeCacheLimit {
-		t.Fatalf("analyzeCount %d overshot the %d-entry cap", count, analyzeCacheLimit)
+	if n := analyzeMemo.Len(); n > analyzeCacheLimit {
+		t.Fatalf("memo holds %d entries, over the %d cap", n, analyzeCacheLimit)
 	}
-	if entries != count {
-		t.Fatalf("cache holds %d entries but analyzeCount says %d", entries, count)
-	}
-	if entries > analyzeCacheLimit {
-		t.Fatalf("cache holds %d entries, over the %d cap", entries, analyzeCacheLimit)
+	top := NewBuilder("after-the-flood").Build()
+	_, _ = top.Analyze()
+	h0, _ := CacheStats()
+	_, _ = top.Analyze()
+	if h1, _ := CacheStats(); h1 != h0+1 {
+		t.Fatalf("a full memo did not cache a new key: hits %d -> %d", h0, h1)
 	}
 }
 
 // TestAnalyzeCacheDuplicateKeyReservesOneSlot hammers one fresh key from
-// many goroutines: however the insert race resolves, at most one slot may
-// stay reserved for it (losers must return theirs).
+// many goroutines: however the concurrent first-sight misses resolve, the
+// key occupies at most one entry, and the next lookup hits.
 func TestAnalyzeCacheDuplicateKeyReservesOneSlot(t *testing.T) {
-	before := analyzeCount.Load()
+	before := analyzeMemo.Len()
 	var wg sync.WaitGroup
 	for g := 0; g < 32; g++ {
 		wg.Add(1)
@@ -85,10 +74,14 @@ func TestAnalyzeCacheDuplicateKeyReservesOneSlot(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// <= 1, not == 1: the cap-flood test may already have filled the cache,
-	// in which case nothing is stored at all.
-	if d := analyzeCount.Load() - before; d > 1 {
-		t.Fatalf("one key consumed %d slots", d)
+	// <= 1, not == 1: a full memo evicts one entry for the new key.
+	if d := analyzeMemo.Len() - before; d > 1 {
+		t.Fatalf("one key occupies %d entries", d)
+	}
+	h0, _ := CacheStats()
+	_, _ = NewBuilder("dup-key-probe").Build().Analyze()
+	if h1, _ := CacheStats(); h1 != h0+1 {
+		t.Fatalf("repeat of the hammered key missed: hits %d -> %d", h0, h1)
 	}
 }
 
