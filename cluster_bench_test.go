@@ -17,11 +17,12 @@ import (
 // to two replicas. Each replica is pinned to one pool slot and one engine
 // worker, so the pair has 2x the compute of the single-node baseline. It
 // does not deliver 2x the throughput: the coordinator's shard HTTP and
-// JSON cost more than the second worker saves. Medians of
+// JSON cost more than the second worker saves, so the cluster is still
+// slower than one node. Medians of
 // `go test -run '^$' -bench 'ExploreCluster' -count=5 .` on a 2-vCPU
-// Intel Xeon VM (go1.24): SingleNode 10.3 ms/op, 2Workers 24.0 ms/op,
-// i.e. the cluster path is ~0.43x as fast. perfbench's cluster workload
-// measures the same gap end to end (cluster.speedup ~0.3 against an
+// Intel Xeon VM (go1.24): SingleNode 4.8 ms/op, 2Workers 12.5 ms/op,
+// i.e. the cluster path is ~0.38x as fast. perfbench's cluster workload
+// measures the same gap end to end (cluster.speedup ~0.24 against an
 // in-process 2-worker explore).
 const clusterBenchBody = `{"spec":{"node":"45nm","vin_v":1.8,"vout_v":0.9,"imax_a":1,"area_mm2":2},"top":1}`
 

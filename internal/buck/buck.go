@@ -108,15 +108,12 @@ func New(cfg Config) (*Design, error) {
 	}
 	d := &Design{cfg: cfg, ind: ind, outCap: oc}
 	// Both switches block the full input voltage (switching node swings
-	// rail to rail).
+	// rail to rail), so they share one device lookup.
 	d.devHS, d.stackHS, err = cfg.Node.SwitchForVoltage(cfg.VIn)
 	if err != nil {
 		return nil, err
 	}
-	d.devLS, d.stackLS, err = cfg.Node.SwitchForVoltage(cfg.VIn)
-	if err != nil {
-		return nil, err
-	}
+	d.devLS, d.stackLS = d.devHS, d.stackHS
 	d.wHS = float64(d.stackHS) * d.devHS.ROnWidth * cfg.GHigh
 	d.wLS = float64(d.stackLS) * d.devLS.ROnWidth * cfg.GLow
 	return d, nil

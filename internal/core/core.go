@@ -434,38 +434,30 @@ func geomspace(lo, hi float64, n int) []float64 {
 	return out
 }
 
-// evalSC sizes and evaluates the two allocation-policy candidates of one
-// (topology, cap kind, cap share) cell. Both conductance-allocation
-// policies are candidates: the cost-aware split wins when gate drive
-// dominates, the plain a_r split when the FSL budget is tight (it keeps
-// C·f_sw — and bottom-plate loss — lower).
-func evalSC(out *shard, spec Spec, node *tech.Node, an *topology.Analysis,
+// evalSC sizes and evaluates one (topology, cap kind, cap share,
+// allocation policy) configuration on the policy's switch plan — the unit
+// the adaptive search counts and prunes individually. A nil plan rejects
+// the configuration.
+func evalSC(out *shard, spec Spec, plan *sc.Plan,
 	capKind tech.CapacitorKind, capOpt tech.CapacitorOption, capShare, usable float64) {
-	for _, uniform := range []bool{false, true} {
-		evalSCPolicy(out, spec, node, an, capKind, capOpt, capShare, usable, uniform)
+	if plan == nil {
+		out.rejected++
+		return
 	}
-}
-
-// evalSCPolicy sizes and evaluates one (topology, cap kind, cap share,
-// allocation policy) configuration — the unit the adaptive search counts
-// and prunes individually.
-func evalSCPolicy(out *shard, spec Spec, node *tech.Node, an *topology.Analysis,
-	capKind tech.CapacitorKind, capOpt tech.CapacitorOption, capShare, usable float64, uniform bool) {
 	cTot := capOpt.DensityFPerM2 * usable * capShare * 0.9 // 10% to decap
 	cDecap := capOpt.DensityFPerM2 * usable * capShare * 0.1
-	gTot, err := sc.GTotalForSwitchArea(an, node, spec.VIn, usable*(1-capShare))
+	gTot, err := plan.GTotalForArea(usable * (1 - capShare))
 	if err != nil {
 		out.rejected++
 		return
 	}
+	// The plan supplies topology, node, V_in and policy.
 	cfg := sc.Config{
-		Analysis: an, Node: node, CapKind: capKind,
-		VIn: spec.VIn, VOut: spec.VOut,
+		CapKind: capKind, VOut: spec.VOut,
 		CTotal: cTot, GTotal: gTot, CDecap: cDecap,
-		FSwMax:                  spec.FSwMax,
-		UniformSwitchAllocation: uniform,
+		FSwMax: spec.FSwMax,
 	}
-	d, err := sc.New(cfg)
+	d, err := plan.Design(cfg)
 	if err != nil {
 		out.rejected++
 		return
@@ -485,7 +477,7 @@ func evalSCPolicy(out *shard, spec Spec, node *tech.Node, an *topology.Analysis,
 			n = 64
 		}
 		cfg.Interleave = n
-		d2, err := sc.New(cfg)
+		d2, err := plan.Design(cfg)
 		if err != nil {
 			out.rejected++
 			return
@@ -503,7 +495,7 @@ func evalSCPolicy(out *shard, spec Spec, node *tech.Node, an *topology.Analysis,
 	}
 	out.candidates = append(out.candidates, Candidate{
 		Kind:    KindSC,
-		Label:   fmt.Sprintf("%s / %v caps / x%d", an.Name, capKind, d.Config().Interleave),
+		Label:   fmt.Sprintf("%s / %v caps / x%d", d.Config().Analysis.Name, capKind, d.Config().Interleave),
 		Metrics: m,
 		SC:      d,
 	})

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"ivory/internal/parallel"
+	"ivory/internal/sc"
 	"ivory/internal/tech"
 	"ivory/internal/topology"
 )
@@ -80,7 +81,11 @@ type evalContext struct {
 	usable float64 // SC area after the controller/routing reserve
 
 	// SC axes (resolved only when KindSC is explored).
-	topos   []*topology.Analysis // scRatios order; nil = analysis failed (pre-rejected)
+	topos []*topology.Analysis // scRatios order; nil = analysis failed (pre-rejected)
+	// plans holds each topology's switch plan per allocation policy,
+	// indexed [topology][PolCostAware|PolUniform]. A nil plan could not be
+	// built; every configuration on it is rejected at evaluation.
+	plans   [][2]*sc.Plan
 	capOpts []tech.CapacitorOption
 	capOK   []bool
 
@@ -101,9 +106,15 @@ func newEvalContext(spec Spec, node *tech.Node) *evalContext {
 				an, err := top.Analyze()
 				if err != nil {
 					ec.topos = append(ec.topos, nil)
+					ec.plans = append(ec.plans, [2]*sc.Plan{})
 					continue
 				}
+				var plans [2]*sc.Plan
+				for pol := range plans {
+					plans[pol], _ = sc.NewPlan(an, node, spec.VIn, pol == PolUniform)
+				}
 				ec.topos = append(ec.topos, an)
+				ec.plans = append(ec.plans, plans)
 			}
 			ec.capOpts = make([]tech.CapacitorOption, len(scCapKinds))
 			ec.capOK = make([]bool, len(scCapKinds))
@@ -223,14 +234,17 @@ func (ec *evalContext) validate(ref ConfigRef) error {
 func (ec *evalContext) eval(ref ConfigRef, out *shard) {
 	switch ref.Kind {
 	case KindSC:
-		an := ec.topos[ref.Topo]
+		// Both conductance-allocation policies are candidates: the
+		// cost-aware split wins when gate drive dominates, the plain a_r
+		// split when the FSL budget is tight (it keeps C·f_sw — and
+		// bottom-plate loss — lower). PolBoth evaluates them in that order.
 		capKind, capOpt := scCapKinds[ref.Cap], ec.capOpts[ref.Cap]
 		share := scCapShares[ref.Axis]
-		if ref.Pol == PolBoth {
-			evalSC(out, ec.spec, ec.node, an, capKind, capOpt, share, ec.usable)
-			return
+		for pol, plan := range ec.plans[ref.Topo] {
+			if ref.Pol == PolBoth || ref.Pol == pol {
+				evalSC(out, ec.spec, plan, capKind, capOpt, share, ec.usable)
+			}
 		}
-		evalSCPolicy(out, ec.spec, ec.node, an, capKind, capOpt, share, ec.usable, ref.Pol == PolUniform)
 	case KindBuck:
 		evalBuck(out, ec.spec, ec.node, ec.ind, ec.outCapKind, ec.phasePlans[ref.Topo], buckFreqs[ref.Axis])
 	case KindLDO:

@@ -71,7 +71,7 @@ type Config struct {
 type Design struct {
 	cfg Config
 
-	// Per-switch device mapping.
+	// Per-switch device mapping, shared read-only with the Plan.
 	devs   []tech.SwitchDevice
 	stacks []int
 	gShare []float64 // per-switch conductance (S)
@@ -98,8 +98,13 @@ const (
 // New validates the configuration, allocates capacitance and conductance
 // across elements in proportion to their charge multipliers (the
 // loss-optimal split), and maps every switch onto the cheapest technology
-// device able to block its off-state voltage.
-func New(cfg Config) (*Design, error) {
+// device able to block its off-state voltage. It is NewPlan followed by
+// (*Plan).Design, for callers that size a single design.
+func New(cfg Config) (*Design, error) { return newDesign(cfg, nil) }
+
+// newDesign validates cfg and builds the design on plan p, resolving the
+// plan from cfg when p is nil.
+func newDesign(cfg Config, p *Plan) (*Design, error) {
 	if cfg.Analysis == nil {
 		return nil, fmt.Errorf("sc: Config.Analysis is required")
 	}
@@ -166,18 +171,19 @@ func New(cfg Config) (*Design, error) {
 		}
 	}
 	// Per-switch device selection and conductance allocation.
-	devs, stacks, weights, err := switchPlan(an, cfg.Node, cfg.VIn, cfg.UniformSwitchAllocation)
-	if err != nil {
-		return nil, err
+	if p == nil {
+		if p, err = NewPlan(an, cfg.Node, cfg.VIn, cfg.UniformSwitchAllocation); err != nil {
+			return nil, err
+		}
 	}
-	d.devs = devs
-	d.stacks = stacks
+	d.devs = p.devs
+	d.stacks = p.stacks
 	d.gShare = make([]float64, an.NumSwitches)
 	d.widths = make([]float64, an.NumSwitches)
-	for i := range devs {
-		d.gShare[i] = cfg.GTotal * weights[i]
+	for i := range p.devs {
+		d.gShare[i] = cfg.GTotal * p.weights[i]
 		// Stack of s devices in series: total R = s * RonW/W.
-		d.widths[i] = float64(stacks[i]) * devs[i].ROnWidth * d.gShare[i]
+		d.widths[i] = float64(p.stacks[i]) * p.devs[i].ROnWidth * d.gShare[i]
 	}
 	if err := numeric.AllFinite("sc: capacitor allocation", d.capC...); err != nil {
 		return nil, err
@@ -188,18 +194,53 @@ func New(cfg Config) (*Design, error) {
 	return d, nil
 }
 
-// switchPlan maps each switch of the topology onto a technology device
-// (respecting its blocking voltage) and computes the conductance allocation
-// weights. Weights follow the loss-optimal split for heterogeneous
-// switches: G_i ∝ a_r,i / sqrt(κ_i), where κ_i = stack²·RonW·CgW·Vdrive² is
-// the switch's conduction-times-gate-energy cost. For a topology whose
+// Plan is the device mapping of one topology at one input voltage under
+// one conductance-allocation policy: every switch's technology device
+// (respecting its blocking voltage), its stack count, and its share of
+// G_total. It depends only on (analysis, node, V_in, policy), so a sweep
+// over capacitor kinds, area splits and interleaving resolves it once and
+// sizes every candidate from it. A Plan is immutable and safe for
+// concurrent use.
+//
+// Weights follow the loss-optimal split for heterogeneous switches:
+// G_i ∝ a_r,i / sqrt(κ_i), where κ_i = stack²·RonW·CgW·Vdrive² is the
+// switch's conduction-times-gate-energy cost. For a topology whose
 // switches all use the same device this reduces to the paper's G_i ∝ a_r,i
-// split and reproduces R_FSL = (Σa_r)²/(G_tot·D) exactly.
-func switchPlan(an *topology.Analysis, node *tech.Node, vin float64, uniform bool) (devs []tech.SwitchDevice, stacks []int, weights []float64, err error) {
-	devs = make([]tech.SwitchDevice, an.NumSwitches)
-	stacks = make([]int, an.NumSwitches)
-	weights = make([]float64, an.NumSwitches)
-	sum := 0.0
+// split and reproduces R_FSL = (Σa_r)²/(G_tot·D) exactly. The uniform
+// policy uses the plain G_i ∝ a_r,i rule.
+type Plan struct {
+	an      *topology.Analysis
+	node    *tech.Node
+	vin     float64
+	uniform bool
+
+	devs    []tech.SwitchDevice
+	stacks  []int
+	weights []float64 // per-switch share of G_total under the plan's policy
+	// switchAreaCost is the switch area per siemens of G_total under the
+	// cost-aware split, Σ w_i·s_i²·RonW_i·AreaPerW_i (m²/S); zero when
+	// that split is degenerate.
+	switchAreaCost float64
+}
+
+// NewPlan maps each switch of the topology onto the cheapest device able
+// to block its off-state voltage at input vin and computes the
+// conductance weights of the chosen policy (uniform selects G_i ∝ a_r,i).
+func NewPlan(an *topology.Analysis, node *tech.Node, vin float64, uniform bool) (*Plan, error) {
+	if an == nil {
+		return nil, fmt.Errorf("sc: plan needs a topology analysis")
+	}
+	if node == nil {
+		return nil, fmt.Errorf("sc: plan needs a technology node")
+	}
+	p := &Plan{
+		an: an, node: node, vin: vin, uniform: uniform,
+		devs:    make([]tech.SwitchDevice, an.NumSwitches),
+		stacks:  make([]int, an.NumSwitches),
+		weights: make([]float64, an.NumSwitches),
+	}
+	costAware := make([]float64, an.NumSwitches)
+	sumCost, sumUniform := 0.0, 0.0
 	for i, m := range an.SwitchMultipliers {
 		vBlock := an.SwitchBlockVoltages[i] * vin
 		if vBlock < 0.1*vin {
@@ -207,26 +248,71 @@ func switchPlan(an *topology.Analysis, node *tech.Node, vin float64, uniform boo
 		}
 		dev, stack, err := node.SwitchForVoltage(vBlock)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		devs[i] = dev
-		stacks[i] = stack
+		p.devs[i] = dev
+		p.stacks[i] = stack
 		vdr := dev.VDrive
 		kappa := float64(stack*stack) * dev.ROnWidth * dev.CGatePerWidth * vdr * vdr
-		w := m / math.Sqrt(kappa)
+		costAware[i] = m / math.Sqrt(kappa)
+		sumCost += costAware[i]
+		sumUniform += m
+	}
+	sum := sumCost
+	if uniform {
+		sum = sumUniform
+	}
+	if sum <= 0 {
+		return nil, fmt.Errorf("sc: degenerate switch multipliers in %s", an.Name)
+	}
+	for i, m := range an.SwitchMultipliers {
+		w := costAware[i]
 		if uniform {
 			w = m
 		}
-		weights[i] = w
-		sum += w
+		p.weights[i] = w / sum
 	}
-	if sum <= 0 {
-		return nil, nil, nil, fmt.Errorf("sc: degenerate switch multipliers in %s", an.Name)
+	if err := numeric.AllFinite("sc: switch weights", p.weights...); err != nil {
+		return nil, err
 	}
-	for i := range weights {
-		weights[i] /= sum
+	// Switch area always follows the cost-aware split, whichever policy
+	// the plan allocates conductance with, so both policies of a sweep
+	// cell are sized to the same G_total.
+	if sumCost > 0 {
+		for i := range p.devs {
+			w := costAware[i] / sumCost
+			p.switchAreaCost += w * float64(p.stacks[i]*p.stacks[i]) * p.devs[i].ROnWidth * p.devs[i].AreaPerWidth
+		}
 	}
-	return devs, stacks, weights, nil
+	return p, nil
+}
+
+// GTotalForArea returns the total conductance achievable with the given
+// switch area (m²) on the plan's device mapping. Conductance shares follow
+// the cost-aware split for either policy, so area relates to G_total
+// through the multiplier-weighted stack costs.
+func (p *Plan) GTotalForArea(areaM2 float64) (float64, error) {
+	if areaM2 <= 0 {
+		return 0, fmt.Errorf("sc: switch area must be positive")
+	}
+	if p.switchAreaCost <= 0 {
+		return 0, fmt.Errorf("sc: degenerate switch multipliers in %s", p.an.Name)
+	}
+	gTotal := areaM2 / p.switchAreaCost
+	if err := numeric.Finite("sc: G_total for switch area", gTotal); err != nil {
+		return 0, err
+	}
+	return gTotal, nil
+}
+
+// Design sizes one converter on the plan's device mapping. The plan
+// supplies Analysis, Node, VIn and UniformSwitchAllocation; the
+// corresponding cfg fields are ignored. The result equals New's for the
+// same configuration, so a sweep builds the plan once and calls Design
+// per candidate.
+func (p *Plan) Design(cfg Config) (*Design, error) {
+	cfg.Analysis, cfg.Node, cfg.VIn, cfg.UniformSwitchAllocation = p.an, p.node, p.vin, p.uniform
+	return newDesign(cfg, p)
 }
 
 // Config returns the (defaulted) configuration of the design.
@@ -421,31 +507,4 @@ func (d *Design) Area() float64 {
 	f := d.cfg.Node.FeatureM
 	a += float64(ctrlGates+clockGates*d.cfg.Interleave) * 40 * f * f * 25
 	return a * routingTax
-}
-
-// GTotalForSwitchArea returns the total conductance achievable with the
-// given switch area (m²) for this design's topology and voltage mapping.
-// Conductance shares follow the optimal |a_r| split, so area relates to
-// G_total through the multiplier-weighted stack costs.
-func GTotalForSwitchArea(an *topology.Analysis, node *tech.Node, vin, areaM2 float64) (float64, error) {
-	if areaM2 <= 0 {
-		return 0, fmt.Errorf("sc: switch area must be positive")
-	}
-	devs, stacks, weights, err := switchPlan(an, node, vin, false)
-	if err != nil {
-		return 0, err
-	}
-	// area = G_total · Σ w_i · s_i² · RonW_i · AreaPerW_i
-	denom := 0.0
-	for i := range devs {
-		denom += weights[i] * float64(stacks[i]*stacks[i]) * devs[i].ROnWidth * devs[i].AreaPerWidth
-	}
-	if denom <= 0 {
-		return 0, fmt.Errorf("sc: degenerate switch multipliers")
-	}
-	gTotal := areaM2 / denom
-	if err := numeric.Finite("sc: G_total for switch area", gTotal); err != nil {
-		return 0, err
-	}
-	return gTotal, nil
 }

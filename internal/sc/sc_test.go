@@ -305,25 +305,40 @@ func TestEfficiencyPeaksNearIdealRatio(t *testing.T) {
 	}
 }
 
-func TestGTotalForSwitchAreaRoundTrip(t *testing.T) {
-	cfg := baseConfig(t)
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	area := switchArea(d)
-	if area <= 0 {
-		t.Fatal("switch area must be positive")
-	}
-	g, err := GTotalForSwitchArea(cfg.Analysis, cfg.Node, cfg.VIn, area)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g-cfg.GTotal)/cfg.GTotal > 1e-9 {
-		t.Errorf("round trip GTotal = %v, want %v", g, cfg.GTotal)
-	}
-	if _, err := GTotalForSwitchArea(cfg.Analysis, cfg.Node, cfg.VIn, 0); err == nil {
-		t.Error("zero area must fail")
+func TestPlanGTotalForAreaRoundTrip(t *testing.T) {
+	homogeneous := baseConfig(t)
+	top, err := topology.SeriesParallel(3, 1) // mixed core/IO switches at 3.3 V
+	mixed := homogeneous
+	mixed.Analysis = mustAnalysis(t, top, err)
+	mixed.Node, mixed.CapKind = tech.MustLookup("45nm"), tech.DeepTrench
+	mixed.VIn, mixed.VOut = 3.3, 1.0
+	for _, cfg := range []Config{homogeneous, mixed} {
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		area := switchArea(d)
+		if area <= 0 {
+			t.Fatal("switch area must be positive")
+		}
+		// Area always maps to G_total through the cost-aware split, so the
+		// uniform plan inverts the cost-aware design's area too.
+		for _, uniform := range []bool{false, true} {
+			p, err := NewPlan(cfg.Analysis, cfg.Node, cfg.VIn, uniform)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := p.GTotalForArea(area)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(g-cfg.GTotal)/cfg.GTotal > 1e-9 {
+				t.Errorf("%s uniform=%v: round trip GTotal = %v, want %v", cfg.Analysis.Name, uniform, g, cfg.GTotal)
+			}
+			if _, err := p.GTotalForArea(0); err == nil {
+				t.Errorf("%s uniform=%v: zero area must fail", cfg.Analysis.Name, uniform)
+			}
+		}
 	}
 }
 

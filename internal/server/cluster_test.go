@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -239,6 +240,27 @@ func TestShardRequestDoesNotPolluteCache(t *testing.T) {
 	}
 	if er.Stats.Jobs <= 5 {
 		t.Errorf("full exploration ran %d jobs; looks like the shard fragment leaked into the cache", er.Stats.Jobs)
+	}
+}
+
+// TestShardWireIsCompact checks that the machine-to-machine shard body is
+// one compact JSON line while client-facing bodies stay indented.
+func TestShardWireIsCompact(t *testing.T) {
+	_, ts := newWorkerServer(t)
+	shardReq := `{"spec":{"node":"45nm","vin_v":1.8,"vout_v":0.9,"imax_a":1,"area_mm2":2},"lo":0,"hi":5}`
+	resp, body := postJSON(t, ts.URL+"/v1/shard/explore", shardReq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("shard explore: %d %s", resp.StatusCode, body)
+	}
+	if n := bytes.Count(body, []byte("\n")); n != 1 || !json.Valid(body) {
+		t.Errorf("shard body spans %d lines, want one compact JSON line", n)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/explore", exploreBody("exhaustive"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("explore: %d", resp.StatusCode)
+	}
+	if !bytes.Contains(body, []byte("\n  \"")) {
+		t.Error("client-facing explore body lost its indentation")
 	}
 }
 

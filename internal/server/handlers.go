@@ -62,11 +62,15 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON renders a client-facing body, indented for people reading it.
+func writeJSON(w http.ResponseWriter, code int, v any) { encodeJSON(w, code, v, "  ") }
+
+// encodeJSON renders v with the given indent; "" writes compact JSON.
+func encodeJSON(w http.ResponseWriter, code int, v any, indent string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	enc.SetIndent("", indent)
 	// The response is already committed; an encode failure here means the
 	// client went away, which the request counter has no use for.
 	_ = enc.Encode(v)

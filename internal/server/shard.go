@@ -190,7 +190,8 @@ func (s *Server) handleShardExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	s.dispatch(w, r, "shard", key, false, s.timeoutFor(req.TimeoutMS), fn,
 		func(w http.ResponseWriter, val any) {
-			writeJSON(w, http.StatusOK, val)
+			// Compact: the coordinator's decoder is the only reader.
+			encodeJSON(w, http.StatusOK, val, "")
 		},
 		func(w http.ResponseWriter, err error) {
 			switch {

@@ -250,13 +250,13 @@ func (n *Node) Inductor(kind InductorKind) (InductorOption, error) {
 // both on-resistance and area by the stack count. Core devices are preferred
 // while the stack stays small because their R·C figure of merit is better.
 func (n *Node) SwitchForVoltage(v float64) (SwitchDevice, int, error) {
-	type cand struct {
-		dev   SwitchDevice
-		stack int
-		fom   float64
-	}
-	var best *cand
-	for _, class := range []DeviceClass{CoreDevice, IODevice} {
+	var (
+		best      SwitchDevice
+		bestStack int
+		bestFOM   float64
+		found     bool
+	)
+	for _, class := range [...]DeviceClass{CoreDevice, IODevice} {
 		dev, ok := n.Switches[class]
 		if !ok {
 			continue
@@ -273,16 +273,14 @@ func (n *Node) SwitchForVoltage(v float64) (SwitchDevice, int, error) {
 		}
 		// Figure of merit: effective Ron*Cg product after stacking.
 		fom := dev.ROnWidth * float64(stack) * dev.CGatePerWidth * float64(stack)
-		c := cand{dev: dev, stack: stack, fom: fom}
-		if best == nil || c.fom < best.fom {
-			bc := c
-			best = &bc
+		if !found || fom < bestFOM {
+			best, bestStack, bestFOM, found = dev, stack, fom, true
 		}
 	}
-	if best == nil {
+	if !found {
 		return SwitchDevice{}, 0, fmt.Errorf("tech: node %s has no switch able to block %.2f V", n.Name, v)
 	}
-	return best.dev, best.stack, nil
+	return best, bestStack, nil
 }
 
 var (

@@ -108,6 +108,21 @@ func TestSwitchForVoltage(t *testing.T) {
 	}
 }
 
+// TestSwitchForVoltageAllocFree guards the device lookup on the SC
+// sizing path: it runs once per switch of every switch plan, so it must
+// not touch the heap.
+func TestSwitchForVoltageAllocFree(t *testing.T) {
+	n := MustLookup("45nm")
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := n.SwitchForVoltage(1.65); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("SwitchForVoltage allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestCapacitorOptions(t *testing.T) {
 	n := MustLookup("45nm")
 	mos, err := n.Capacitor(MOSCap)
