@@ -28,10 +28,11 @@
 //
 // Cluster mode: start replicas with -role=worker, then a coordinator with
 // -role=coordinator -cluster-workers=http://w1:7077,http://w2:7077. The
-// coordinator partitions each exploration's enumerated design space into
-// contiguous index ranges, fans them out to the workers, and merges the
-// outcomes deterministically — the ranked result is bit-identical to a
-// single-node run. Lost shards are retried on other replicas; when retries
+// coordinator partitions each exhaustive exploration's enumerated design
+// space into contiguous index ranges, fans them out to the workers, and
+// merges the outcomes deterministically — the ranked result is
+// bit-identical to a single-node run. Adaptive searches run on the
+// coordinator itself. Lost shards are retried on other replicas; when retries
 // exhaust, the response carries the completed slices with
 // "incomplete": true.
 //

@@ -296,14 +296,11 @@ func Explore(spec Spec) (*Result, error) {
 // ranked result is bit-identical for any evaluator that returns the same
 // per-ref outcomes — local, clustered, or mixed.
 func ExploreWith(spec Spec, eval Evaluator) (*Result, error) {
-	if err := spec.defaults(); err != nil {
-		return nil, err
-	}
-	node, err := tech.Lookup(spec.NodeName)
+	ec, err := prepare(spec)
 	if err != nil {
 		return nil, err
 	}
-	ec := newEvalContext(spec, node)
+	spec = ec.spec
 	if eval == nil {
 		eval = ec.localEvaluator(spec.Workers)
 	}

@@ -12,12 +12,12 @@ import (
 )
 
 // Distributed evaluation plumbing. The design space of a spec is addressed
-// by ConfigRefs — small, serializable coordinates into the canonical
-// enumeration lattices (scCapShares, buckFreqs, ldoSampleFreqs) — so the
-// expensive sizing/evaluation step can run anywhere: on the local worker
-// pool (the classic path), or on remote ivoryd replicas that receive a
-// spec plus a ref range over HTTP and return the outcomes (see
-// internal/server's cluster mode).
+// by ConfigRefs — small coordinates into the canonical enumeration
+// lattices (scCapShares, buckFreqs, ldoSampleFreqs) — so the expensive
+// sizing/evaluation step can run anywhere: on the local worker pool (the
+// classic path), or on remote ivoryd replicas that receive a spec plus an
+// index range [lo, hi) of its enumeration over HTTP and return the
+// outcomes (see internal/server's cluster mode).
 //
 // Determinism is the contract that makes this safe: enumeration order is a
 // pure function of the normalized spec, every ref evaluates to the same
@@ -44,13 +44,13 @@ const (
 //	KindLDO:  Axis = ldoSampleFreqs index
 //
 // A ref is only meaningful against the normalized spec it was enumerated
-// from; the serving layer guards this with the canonical spec hash.
+// from.
 type ConfigRef struct {
-	Kind Kind `json:"kind"`
-	Topo int  `json:"topo,omitempty"`
-	Cap  int  `json:"cap,omitempty"`
-	Axis int  `json:"axis,omitempty"`
-	Pol  int  `json:"pol,omitempty"`
+	Kind Kind
+	Topo int
+	Cap  int
+	Axis int
+	Pol  int
 }
 
 // RefOutcome is the evaluation outcome of one ConfigRef: the accepted
@@ -195,8 +195,8 @@ func (ec *evalContext) enumerate() (refs []ConfigRef, pre [numKinds]int) {
 	return refs, pre
 }
 
-// validate bounds-checks a ref against the resolved axes; the serving
-// layer calls it on wire-decoded refs before evaluation.
+// validate bounds-checks a ref against the resolved axes; EvalRefs calls
+// it on caller-supplied refs before evaluation.
 func (ec *evalContext) validate(ref ConfigRef) error {
 	switch ref.Kind {
 	case KindSC:
@@ -279,77 +279,60 @@ type RangeResult struct {
 	// coordinator compares it against its own count to detect version skew
 	// before trusting the outcomes.
 	Total int
-	// PreRejected counts enumeration-time rejections for the whole spec
-	// (not the slice). Coordinators count these exactly once from their
-	// own enumeration; the field is informational on the worker side.
-	PreRejected int
-	// Stats carries the slice's evaluation telemetry (per-kind counts,
-	// wall time). Enumeration-time rejections are excluded.
-	Stats Stats
 }
 
 // ExploreRange evaluates the half-open slice [lo, hi) of the spec's
 // canonical enumeration on the local pool — the entry point an ivoryd
-// worker replica serves. Run control matches Explore: Spec.Context cancels
-// mid-slice and the error is returned with whatever outcomes completed.
+// worker replica serves. Spec.Context cancels mid-slice and the error is
+// returned with whatever outcomes completed; Spec.Progress and
+// Spec.OnImproved belong to a whole exploration and are not called.
 func ExploreRange(spec Spec, lo, hi int) (*RangeResult, error) {
-	if err := spec.defaults(); err != nil {
-		return nil, err
-	}
-	node, err := tech.Lookup(spec.NodeName)
+	ec, err := prepare(spec)
 	if err != nil {
 		return nil, err
 	}
-	ec := newEvalContext(spec, node)
-	refs, pre := ec.enumerate()
+	refs, _ := ec.enumerate()
 	if lo < 0 || hi < lo || hi > len(refs) {
 		return nil, fmt.Errorf("core: range [%d,%d) out of bounds for %d enumerated configurations", lo, hi, len(refs))
 	}
-	rr, err := evalRefsLocal(spec, ec, refs[lo:hi])
-	rr.Total = len(refs)
-	for _, n := range pre {
-		rr.PreRejected += n
-	}
-	return rr, err
+	return ec.evalLocal(refs[lo:hi], len(refs))
 }
 
-// EvalRefs evaluates an explicit ref list on the local pool — the entry
-// point a worker serves for adaptive-search stage dispatch, where the ref
-// set is decided by the coordinator's branch-and-bound state rather than a
-// contiguous range. Refs are validated against the spec before any
-// evaluation runs.
+// EvalRefs evaluates an explicit ref list on the local pool, with the same
+// run control as ExploreRange. It is a public entry point, so every ref is
+// validated against the spec before any evaluation runs.
 func EvalRefs(spec Spec, refs []ConfigRef) (*RangeResult, error) {
-	if err := spec.defaults(); err != nil {
-		return nil, err
-	}
-	node, err := tech.Lookup(spec.NodeName)
+	ec, err := prepare(spec)
 	if err != nil {
 		return nil, err
 	}
-	ec := newEvalContext(spec, node)
 	for i, ref := range refs {
 		if err := ec.validate(ref); err != nil {
 			return nil, fmt.Errorf("core: ref %d invalid: %w", i, err)
 		}
 	}
-	allRefs, pre := ec.enumerate()
-	rr, err := evalRefsLocal(spec, ec, refs)
-	rr.Total = len(allRefs)
-	for _, n := range pre {
-		rr.PreRejected += n
-	}
-	return rr, err
+	all, _ := ec.enumerate()
+	return ec.evalLocal(refs, len(all))
 }
 
-// evalRefsLocal fans refs over the local pool with full run telemetry.
-func evalRefsLocal(spec Spec, ec *evalContext, refs []ConfigRef) (*RangeResult, error) {
-	tr := newTracker(spec)
-	tr.addJobs(len(refs))
-	eval := ec.localEvaluator(spec.Workers)
-	outs, err := eval(specContext(spec), refs, func(i int, out *RefOutcome) {
-		tr.jobDone(refs[i].Kind, out.Candidates, out.Rejected)
-	})
-	return &RangeResult{Outcomes: outs, Stats: tr.finalize(err != nil)}, err
+// prepare defaults the spec, looks up its node and resolves the shared
+// evaluation context; ec.spec is the defaulted spec.
+func prepare(spec Spec) (*evalContext, error) {
+	if err := spec.defaults(); err != nil {
+		return nil, err
+	}
+	node, err := tech.Lookup(spec.NodeName)
+	if err != nil {
+		return nil, err
+	}
+	return newEvalContext(spec, node), nil
+}
+
+// evalLocal runs refs on the local pool and tags the outcomes with the
+// spec's enumeration length.
+func (ec *evalContext) evalLocal(refs []ConfigRef, total int) (*RangeResult, error) {
+	outs, err := ec.localEvaluator(ec.spec.Workers)(specContext(ec.spec), refs, func(int, *RefOutcome) {})
+	return &RangeResult{Outcomes: outs, Total: total}, err
 }
 
 // specContext returns the spec's run-control context, Background when unset.

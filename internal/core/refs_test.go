@@ -7,7 +7,7 @@ import (
 )
 
 // Seam tests for the ConfigRef enumeration and the range/ref evaluation
-// entry points that cluster mode is built on: slices must tile the full
+// entry points that cluster mode and perfbench are built on: slices must tile the full
 // sweep exactly, enumeration must be reproducible, and malformed inputs
 // must be rejected before any evaluation runs.
 
@@ -80,8 +80,17 @@ func TestExploreRangeMatchesExplore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	rejected := rr.PreRejected
+	// Enumeration-time rejections are counted once per spec, outside any
+	// slice.
+	ec, err := prepare(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, pre := ec.enumerate()
+	n, rejected := 0, 0
+	for _, r := range pre {
+		rejected += r
+	}
 	for _, o := range whole.Outcomes {
 		n += len(o.Candidates)
 		rejected += o.Rejected

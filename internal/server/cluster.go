@@ -17,15 +17,15 @@ import (
 	"ivory/internal/core"
 )
 
-// Cluster mode: a coordinator ivoryd partitions each exploration's
-// enumerated design space into contiguous slices and fans them out to
-// worker replicas over the shard API (shard.go). The deterministic-merge
-// contract does the heavy lifting — outcomes land in per-ref slots and the
-// engine merges them in enumeration order — so the coordinator's ranked
-// result is bit-identical to a single-node run at any worker count, for
-// both the exhaustive sweep and the staged adaptive search (whose
-// branch-and-bound control loop runs on the coordinator; only evaluation
-// batches travel).
+// Cluster mode: a coordinator ivoryd partitions each exhaustive
+// exploration's enumerated design space into contiguous slices and fans
+// them out to worker replicas over the shard API (shard.go). The
+// deterministic-merge contract does the heavy lifting — outcomes land in
+// per-ref slots and the engine merges them in enumeration order — so the
+// coordinator's ranked result is bit-identical to a single-node run at any
+// worker count. The adaptive search runs entirely on the coordinator: its
+// branch-and-bound stages are small and sequential, so shipping each one
+// over HTTP cost far more than evaluating it locally.
 //
 // Failure model: shards are all-or-nothing and idempotent (keyed by
 // spec hash + slice), so a timed-out or 5xx'd shard is simply retried on
@@ -54,13 +54,15 @@ type ClusterConfig struct {
 	// exploration returns ErrIncomplete. 0 selects 2; negative disables
 	// retries.
 	MaxRetries int
-	// ShardsPerWorker scales the partition: a stage of N refs splits into
-	// min(N, healthyWorkers x ShardsPerWorker) slices, so one slow replica
-	// holds back at most 1/ShardsPerWorker of the wall clock. 0 selects 2.
-	ShardsPerWorker int
 	// HTTPClient overrides the transport (tests inject httptest clients).
 	// nil selects a client with sane defaults.
 	HTTPClient *http.Client
+
+	// shardsPerWorker scales the partition: an enumeration of N refs
+	// splits into min(N, healthyWorkers x shardsPerWorker) slices, so one
+	// slow replica holds back at most 1/shardsPerWorker of the wall clock.
+	// 0 selects 2; only tests set it.
+	shardsPerWorker int
 }
 
 func (c *ClusterConfig) defaults() {
@@ -76,8 +78,8 @@ func (c *ClusterConfig) defaults() {
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
 	}
-	if c.ShardsPerWorker <= 0 {
-		c.ShardsPerWorker = 2
+	if c.shardsPerWorker <= 0 {
+		c.shardsPerWorker = 2
 	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = &http.Client{}
@@ -335,7 +337,7 @@ func (c *Cluster) healthGauges() map[string]bool {
 	return out
 }
 
-// shardChunk is one contiguous slice of a stage's ref list.
+// shardChunk is one contiguous slice of the enumerated ref list.
 type shardChunk struct{ lo, hi int }
 
 // splitChunks partitions n refs into at most parts contiguous,
@@ -383,27 +385,22 @@ type shardSpec struct {
 	areaM2 float64
 }
 
-// evaluator returns the core.Evaluator that dispatches each evaluation
-// batch over the cluster. canonical marks the exhaustive path, where the
-// single batch is the full enumeration and slices travel as [lo, hi)
-// index ranges; adaptive stages ship their ref lists explicitly. The
-// returned outcomes slice has zero-valued slots for refs whose shard was
-// lost — exactly the shape a cancelled local run produces — and the error
-// wraps ErrIncomplete when retries were exhausted. Fatal shard failures
-// (version skew, invalid slices) propagate as-is: a broken fleet is a hard
-// error, not a benign incomplete partial.
-func (c *Cluster) evaluator(spec core.Spec, canonical bool) core.Evaluator {
+// evaluator returns the core.Evaluator that dispatches the exhaustive
+// sweep over the cluster. Its single batch is the full canonical
+// enumeration, so a positional index is an enumeration index and slices
+// travel as [lo, hi) ranges. The returned outcomes slice has zero-valued
+// slots for refs whose shard was lost — exactly the shape a cancelled
+// local run produces — and the error wraps ErrIncomplete when retries were
+// exhausted. Fatal shard failures (version skew, invalid slices) propagate
+// as-is: a broken fleet is a hard error, not a benign incomplete partial.
+func (c *Cluster) evaluator(spec core.Spec) core.Evaluator {
 	ss := shardSpec{dto: SpecDTOFromSpec(spec), hash: SpecHash(spec), areaM2: spec.AreaMax}
 	return func(ctx context.Context, refs []core.ConfigRef, done func(int, *core.RefOutcome)) ([]core.RefOutcome, error) {
 		outs := make([]core.RefOutcome, len(refs))
 		if len(refs) == 0 {
 			return outs, nil
 		}
-		// Range mode is only sound when positional index == canonical
-		// enumeration index, which holds for the exhaustive path's single
-		// full-space batch.
-		rangeMode := canonical
-		chunks := splitChunks(len(refs), c.healthyCount()*c.cfg.ShardsPerWorker)
+		chunks := splitChunks(len(refs), c.healthyCount()*c.cfg.shardsPerWorker)
 		var wg sync.WaitGroup
 		var mu sync.Mutex
 		var fatalErr, firstErr error
@@ -411,7 +408,7 @@ func (c *Cluster) evaluator(spec core.Spec, canonical bool) core.Evaluator {
 			wg.Add(1)
 			go func(ch shardChunk) {
 				defer wg.Done()
-				err := c.runShard(ctx, ss, rangeMode, refs, ch, outs, done)
+				err := c.runShard(ctx, ss, len(refs), ch, outs, done)
 				if err != nil {
 					var fatal *fatalShardError
 					mu.Lock()
@@ -444,8 +441,8 @@ func (c *Cluster) evaluator(spec core.Spec, canonical bool) core.Evaluator {
 // the whole slice to the next replica, and only a complete response is
 // merged — at most one attempt is in flight per chunk, so a slice can
 // never be merged twice.
-func (c *Cluster) runShard(ctx context.Context, ss shardSpec, rangeMode bool,
-	refs []core.ConfigRef, ch shardChunk, outs []core.RefOutcome, done func(int, *core.RefOutcome)) error {
+func (c *Cluster) runShard(ctx context.Context, ss shardSpec, total int,
+	ch shardChunk, outs []core.RefOutcome, done func(int, *core.RefOutcome)) error {
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -468,7 +465,7 @@ func (c *Cluster) runShard(ctx context.Context, ss shardSpec, rangeMode bool,
 		}
 		c.metrics.shardsDispatched.inc(workerLabel(w.url))
 		start := time.Now()
-		resp, err := c.postShard(ctx, w, ss, rangeMode, refs, ch)
+		resp, err := c.postShard(ctx, w, ss, total, ch)
 		w.noteShard(time.Since(start), err == nil)
 		if err == nil {
 			if len(resp.Outcomes) != ch.hi-ch.lo {
@@ -493,21 +490,18 @@ func (c *Cluster) runShard(ctx context.Context, ss shardSpec, rangeMode bool,
 	return lastErr
 }
 
-// postShard runs one shard attempt against one worker.
+// postShard runs one shard attempt against one worker; total is the
+// coordinator's enumeration length.
 func (c *Cluster) postShard(ctx context.Context, w *workerState, ss shardSpec,
-	rangeMode bool, refs []core.ConfigRef, ch shardChunk) (*ShardResponse, error) {
+	total int, ch shardChunk) (*ShardResponse, error) {
 	req := ShardRequest{
 		Spec:      ss.dto,
 		SpecHash:  ss.hash,
 		AreaM2:    ss.areaM2,
 		Lo:        ch.lo,
 		Hi:        ch.hi,
+		Total:     total,
 		TimeoutMS: int(c.cfg.ShardTimeout / time.Millisecond),
-	}
-	if rangeMode {
-		req.Total = len(refs)
-	} else {
-		req.Refs = refs[ch.lo:ch.hi]
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -547,10 +541,14 @@ func (c *Cluster) postShard(ctx context.Context, w *workerState, ss shardSpec,
 }
 
 // clusterExplore is the coordinator's engine seam: identical inputs and
-// outputs to core.Explore, evaluation fanned over the cluster. The
-// admission path (cache, singleflight, queue) is untouched — a cache hit
-// short-circuits before any shard is dispatched.
+// outputs to core.Explore. The exhaustive sweep is fanned over the
+// cluster; the adaptive search runs locally, because its stages are too
+// small to pay for a shard round trip each. The admission path (cache,
+// singleflight, queue) is untouched — a cache hit short-circuits before
+// any shard is dispatched.
 func (s *Server) clusterExplore(spec core.Spec) (*core.Result, error) {
-	canonical := spec.Search == core.SearchExhaustive
-	return core.ExploreWith(spec, s.cluster.evaluator(spec, canonical))
+	if spec.Search != core.SearchExhaustive {
+		return core.Explore(spec)
+	}
+	return core.ExploreWith(spec, s.cluster.evaluator(spec))
 }

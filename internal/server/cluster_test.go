@@ -69,8 +69,6 @@ func normalizeVolatileStats(r *ExploreResponse) {
 	r.Stats.CandidatesPerSec = 0
 	r.Stats.TopoCacheHits = 0
 	r.Stats.TopoCacheMisses = 0
-	r.Stats.GridCholesky = 0
-	r.Stats.GridCG = 0
 }
 
 // canonicalExploreJSON re-marshals a wire body with volatile stats zeroed.
@@ -88,10 +86,28 @@ func canonicalExploreJSON(t *testing.T, body []byte) string {
 	return string(out)
 }
 
+// shardsDispatched sums the coordinator's per-worker
+// ivoryd_shards_dispatched_total samples.
+func shardsDispatched(t *testing.T, coordURL string) float64 {
+	t.Helper()
+	resp, body := getJSON(t, coordURL+"/metrics")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: %d", resp.StatusCode)
+	}
+	n := 0.0
+	for name, v := range parseExposition(string(body)) {
+		if strings.HasPrefix(name, `ivoryd_shards_dispatched_total{worker="`) {
+			n += v
+		}
+	}
+	return n
+}
+
 // TestClusterEquivalence proves the tentpole determinism contract:
 // coordinator output over 1, 2, and 4 workers is bit-identical to the
 // single-node wire body for both the exhaustive sweep and the adaptive
-// search.
+// search. Only the exhaustive sweep is sharded; the adaptive search runs
+// on the coordinator and dispatches nothing.
 func TestClusterEquivalence(t *testing.T) {
 	_, single := newWorkerServer(t)
 	for _, search := range []string{"exhaustive", "adaptive"} {
@@ -115,6 +131,13 @@ func TestClusterEquivalence(t *testing.T) {
 				}
 				if got := canonicalExploreJSON(t, body); got != ref {
 					t.Errorf("cluster result diverged from single-node\n got: %.400s\nwant: %.400s", got, ref)
+				}
+				n := shardsDispatched(t, coord.URL)
+				if search == "adaptive" && n != 0 {
+					t.Errorf("adaptive search dispatched %v shards; it must run on the coordinator", n)
+				}
+				if search == "exhaustive" && n == 0 {
+					t.Error("exhaustive sweep dispatched no shards")
 				}
 			})
 		}
@@ -157,7 +180,7 @@ func TestClusterFineShardsOnTies(t *testing.T) {
 		urls[i] = ts.URL
 	}
 	_, coord := newCoordinator(t, urls, func(cc *ClusterConfig) {
-		cc.ShardsPerWorker = 8 // 16 slices over ~600 refs: boundaries every ~40 refs
+		cc.shardsPerWorker = 8 // 16 slices over ~600 refs: boundaries every ~40 refs
 	})
 	resp, body := postJSON(t, coord.URL+"/v1/explore", exploreBody("exhaustive"))
 	if resp.StatusCode != http.StatusOK {
@@ -297,7 +320,7 @@ func TestClusterReassignsLostWorker(t *testing.T) {
 	_, healthyTS := newWorkerServer(t)
 
 	_, coord := newCoordinator(t, []string{dyingTS.URL, healthyTS.URL}, func(cc *ClusterConfig) {
-		cc.ShardsPerWorker = 4
+		cc.shardsPerWorker = 4
 		cc.MaxRetries = 3
 	})
 	resp, body := postJSON(t, coord.URL+"/v1/explore", exploreBody("exhaustive"))
@@ -361,7 +384,7 @@ func TestClusterIncompleteAfterRetryExhaustion(t *testing.T) {
 
 	_, coord := newCoordinator(t, []string{brokenTS.URL, healthyTS.URL}, func(cc *ClusterConfig) {
 		cc.MaxRetries = -1 // no reassignment: lost slices stay lost
-		cc.ShardsPerWorker = 2
+		cc.shardsPerWorker = 2
 		// Slow health checks keep the broken worker in rotation (its
 		// /healthz is fine; only the shard API fails), so slices genuinely
 		// land on it and die.
@@ -503,13 +526,20 @@ func TestShardSpecHashMismatchIs409(t *testing.T) {
 	}
 }
 
-// TestShardRangeOutOfBoundsIs400 pins slice validation on the worker.
+// TestShardRangeOutOfBoundsIs400 pins slice validation on the worker. An
+// explicit ref list (the wire has only range addressing) is rejected too,
+// so it can never be served as the range its lo/hi happen to name.
 func TestShardRangeOutOfBoundsIs400(t *testing.T) {
 	_, ts := newWorkerServer(t)
-	req := `{"spec":{"node":"45nm","vin_v":1.8,"vout_v":0.9,"imax_a":1,"area_mm2":2},"lo":0,"hi":1000000}`
-	resp, body := postJSON(t, ts.URL+"/v1/shard/explore", req)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("want 400 on out-of-range slice, got %d %s", resp.StatusCode, body)
+	const spec = `"spec":{"node":"45nm","vin_v":1.8,"vout_v":0.9,"imax_a":1,"area_mm2":2}`
+	for _, req := range []string{
+		`{` + spec + `,"lo":0,"hi":1000000}`,
+		`{` + spec + `,"lo":0,"hi":1,"refs":[{"kind":2}]}`,
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/shard/explore", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("want 400 for %s, got %d %s", req, resp.StatusCode, body)
+		}
 	}
 }
 
@@ -522,20 +552,11 @@ func TestClusterMetricsExposition(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explore: %d", resp.StatusCode)
 	}
-	resp, body := getJSON(t, coord.URL+"/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics: %d", resp.StatusCode)
-	}
-	samples := parseExposition(string(body))
-	dispatched := 0.0
-	for name, v := range samples {
-		if strings.HasPrefix(name, `ivoryd_shards_dispatched_total{worker="`) {
-			dispatched += v
-		}
-	}
-	if dispatched == 0 {
+	if shardsDispatched(t, coord.URL) == 0 {
 		t.Error("ivoryd_shards_dispatched_total has no per-worker samples")
 	}
+	_, body := getJSON(t, coord.URL+"/metrics")
+	samples := parseExposition(string(body))
 	found := false
 	for name := range samples {
 		if strings.HasPrefix(name, `ivoryd_worker_healthy{worker="`) {

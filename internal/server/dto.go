@@ -229,8 +229,6 @@ type ExploreStatsDTO struct {
 	FrontSize        int            `json:"front_size"`
 	TopoCacheHits    int64          `json:"topo_cache_hits"`
 	TopoCacheMisses  int64          `json:"topo_cache_misses"`
-	GridCholesky     int64          `json:"grid_cholesky"`
-	GridCG           int64          `json:"grid_cg"`
 	WallMS           float64        `json:"wall_ms"`
 	CandidatesPerSec float64        `json:"candidates_per_sec"`
 	Cancelled        bool           `json:"cancelled,omitempty"`
@@ -247,8 +245,6 @@ func exploreStatsDTO(s core.Stats) ExploreStatsDTO {
 		FrontSize:        s.FrontSize,
 		TopoCacheHits:    s.TopoCacheHits,
 		TopoCacheMisses:  s.TopoCacheMisses,
-		GridCholesky:     s.GridCholesky,
-		GridCG:           s.GridCG,
 		WallMS:           float64(s.Wall.Milliseconds()),
 		CandidatesPerSec: s.CandidatesPerSec,
 		Cancelled:        s.Cancelled,

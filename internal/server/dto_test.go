@@ -47,8 +47,7 @@ func goldenResult(t *testing.T) *core.Result {
 	res.Stats = core.Stats{
 		Jobs: 4, Done: 4,
 		TopoCacheHits: 7, TopoCacheMisses: 2,
-		GridCholesky: 1,
-		Wall:         1500 * time.Millisecond, CandidatesPerSec: 42,
+		Wall: 1500 * time.Millisecond, CandidatesPerSec: 42,
 	}
 	res.Stats.PerKind[core.KindSC] = core.KindStats{Accepted: 1, Rejected: 2}
 	res.Stats.PerKind[core.KindBuck] = core.KindStats{Accepted: 1, Rejected: 1}

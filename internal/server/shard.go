@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"strconv"
 
@@ -13,17 +12,11 @@ import (
 )
 
 // The shard wire protocol: a coordinator ships a canonical Spec plus a
-// slice of its enumerated design space to a worker replica, and the worker
-// returns the per-ref evaluation outcomes. Two addressing modes share one
-// request shape:
-//
-//   - range mode (Refs empty): the slice is [Lo, Hi) of the worker's own
-//     canonical enumeration. Total carries the coordinator's enumeration
-//     length so version skew (replicas enumerating different spaces) is a
-//     409, never a silent mis-merge. This is the exhaustive-Explore path.
-//   - ref mode (Refs set): the slice is an explicit ConfigRef list chosen
-//     by the coordinator's adaptive branch-and-bound state; Lo/Hi only
-//     echo the coordinator's positional window.
+// slice [Lo, Hi) of its exhaustive enumeration to a worker replica, and the
+// worker evaluates the same slice of its own canonical enumeration and
+// returns the per-ref outcomes. Total carries the coordinator's
+// enumeration length so version skew (replicas enumerating different
+// spaces) is a 409, never a silent mis-merge.
 //
 // Candidate metrics travel as raw engine values (ivr.Metrics), not the
 // unit-converted display DTOs: Go's float64 JSON round-trip is exact, so
@@ -44,15 +37,12 @@ type ShardRequest struct {
 	// evaluate identical bits; a nonzero value overrides the converted
 	// Spec.AreaMM2.
 	AreaM2 float64 `json:"area_m2,omitempty"`
-	// Lo/Hi is the half-open slice of the canonical enumeration (range
-	// mode) or the coordinator's positional window (ref mode).
+	// Lo/Hi is the half-open slice of the canonical enumeration.
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
-	// Total is the coordinator's full enumeration length; nonzero values
-	// are cross-checked against the worker's own enumeration.
+	// Total is the coordinator's full enumeration length, cross-checked
+	// against the worker's own enumeration (0 skips the check).
 	Total int `json:"total,omitempty"`
-	// Refs switches to ref mode when non-empty.
-	Refs []core.ConfigRef `json:"refs,omitempty"`
 	// TimeoutMS caps the worker-side compute deadline (clamped under the
 	// worker's own RequestTimeout).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -101,27 +91,6 @@ func (d ShardOutcomeDTO) toRefOutcome() core.RefOutcome {
 	return out
 }
 
-// refsHash distinguishes ref-mode singleflight keys that share a
-// positional window but carry different ref sets.
-func refsHash(refs []core.ConfigRef) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v int) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		_, _ = h.Write(buf[:])
-	}
-	for _, r := range refs {
-		put(int(r.Kind))
-		put(r.Topo)
-		put(r.Cap)
-		put(r.Axis)
-		put(r.Pol)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // errShardSkew marks a fatal coordinator/worker disagreement (spec hash or
 // enumeration length); retrying on another replica of the same build
 // cannot help, so the coordinator fails the shard immediately.
@@ -158,21 +127,12 @@ func (s *Server) handleShardExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := "shard:" + hash + ":" + strconv.Itoa(req.Lo) + "-" + strconv.Itoa(req.Hi)
-	if len(req.Refs) > 0 {
-		key += ":" + refsHash(req.Refs)
-	}
 	engineWorkers := s.cfg.EngineWorkers
 	fn := func(ctx context.Context) (any, error, bool) {
 		sp := norm
 		sp.Context = ctx
 		sp.Workers = engineWorkers
-		var rr *core.RangeResult
-		var xerr error
-		if len(req.Refs) > 0 {
-			rr, xerr = core.EvalRefs(sp, req.Refs)
-		} else {
-			rr, xerr = core.ExploreRange(sp, req.Lo, req.Hi)
-		}
+		rr, xerr := core.ExploreRange(sp, req.Lo, req.Hi)
 		// All-or-nothing: a cancelled or failed slice returns an error
 		// status so the coordinator retries the whole slice; partial shard
 		// outcomes never ship.
@@ -202,8 +162,8 @@ func (s *Server) handleShardExplore(w http.ResponseWriter, r *http.Request) {
 				// the whole slice on another replica.
 				s.writeError(w, http.StatusServiceUnavailable, "shard evaluation interrupted: "+err.Error())
 			default:
-				// Bad ranges and invalid refs surface here (the engine
-				// validates before evaluating).
+				// Bad ranges surface here (the engine bounds-checks the
+				// slice before evaluating).
 				s.writeError(w, http.StatusBadRequest, err.Error())
 			}
 		})

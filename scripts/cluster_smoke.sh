@@ -2,8 +2,9 @@
 # End-to-end cluster smoke test: build ivoryd, boot two worker replicas and
 # a coordinator wired to them, explore through the cluster, assert the
 # response body is byte-identical to a single-node run of the same spec
-# (modulo volatile timing stats), scrape /v1/cluster and the shard metrics,
-# then SIGTERM all three daemons and assert clean drains.
+# (modulo volatile timing stats) and that an adaptive search dispatches no
+# shard, scrape /v1/cluster and the shard metrics, then SIGTERM all three
+# daemons and assert clean drains.
 #
 # Used by `make smoke-cluster` and the CI cluster-smoke job. Needs bash,
 # curl, jq and the go toolchain.
@@ -13,7 +14,8 @@ cd "$(dirname "$0")/.."
 
 workdir=$(mktemp -d)
 cleanup() {
-    for p in "${w1pid:-}" "${w2pid:-}" "${cpid:-}"; do
+    # $pid covers a daemon still booting inside boot_daemon.
+    for p in "${pid:-}" "${w1pid:-}" "${w2pid:-}" "${cpid:-}"; do
         [ -n "$p" ] && kill -9 "$p" 2>/dev/null || true
     done
     rm -rf "$workdir"
@@ -62,15 +64,33 @@ boot_daemon "$workdir/coord.log" -addr 127.0.0.1:0 -role coordinator \
 cpid=$pid coord="http://$addr"
 echo "   coordinator on $coord"
 
-# Two areas: 2 mm² survives the mm²→m² float64 unit conversion exactly;
-# 0.8 mm² drifts 1 ULP, so it only works if the shard wire carries the
-# coordinator's engine-precision area (ShardRequest.area_m2).
-for area in 2 0.8; do
-    spec='{"spec":{"node":"45nm","vin_v":1.8,"vout_v":0.9,"imax_a":1,"area_mm2":'$area'},"top":-1}'
+# dispatched prints the coordinator's total ivoryd_shards_dispatched_total.
+dispatched() {
+    curl -fsS "$coord/metrics" |
+        awk '/^ivoryd_shards_dispatched_total\{/ { n += $2 } END { print n + 0 }'
+}
 
-    echo "== explore through the cluster (area_mm2=$area)"
+# Three cases. Exhaustive at 2 mm² survives the mm²→m² float64 unit
+# conversion exactly; at 0.8 mm² it drifts 1 ULP, so it only works if the
+# shard wire carries the coordinator's engine-precision area
+# (ShardRequest.area_m2). The adaptive search runs on the coordinator and
+# must not dispatch a single shard.
+for case in "2 exhaustive" "0.8 exhaustive" "2 adaptive"; do
+    read -r area search <<<"$case"
+    extra=""
+    [ "$search" = adaptive ] && extra=',"search":"adaptive"'
+    spec='{"spec":{"node":"45nm","vin_v":1.8,"vout_v":0.9,"imax_a":1,"area_mm2":'$area$extra'},"top":-1}'
+    label="area_mm2=$area, $search"
+    before=$(dispatched)
+
+    echo "== explore through the cluster ($label)"
     curl -fsS -X POST "$coord/v1/explore" -H 'Content-Type: application/json' \
         -d "$spec" >"$workdir/cluster.json"
+    after=$(dispatched)
+    if [ "$search" = adaptive ] && [ "$after" != "$before" ]; then
+        echo "adaptive search dispatched $((after - before)) shards; it must run on the coordinator" >&2
+        exit 1
+    fi
     jq -e '.incomplete != true and .cancelled != true and (.candidates | length) > 0' \
         "$workdir/cluster.json" >/dev/null || {
         echo "cluster exploration returned no complete result:" >&2
@@ -78,17 +98,17 @@ for area in 2 0.8; do
         exit 1
     }
 
-    echo "== compare against single-node (area_mm2=$area)"
+    echo "== compare against single-node ($label)"
     # Worker 1 serves the same spec directly; everything except the volatile
     # timing stats must be byte-identical after canonical re-serialization.
     curl -fsS -X POST "$w1/v1/explore" -H 'Content-Type: application/json' \
         -d "$spec" >"$workdir/single.json"
     normalize='del(.stats.wall_ms, .stats.candidates_per_sec, .stats.topo_cache_hits,
-                   .stats.topo_cache_misses, .stats.grid_cholesky, .stats.grid_cg)'
+                   .stats.topo_cache_misses)'
     jq -S "$normalize" "$workdir/cluster.json" >"$workdir/cluster.norm.json"
     jq -S "$normalize" "$workdir/single.json" >"$workdir/single.norm.json"
     if ! diff -q "$workdir/cluster.norm.json" "$workdir/single.norm.json" >/dev/null; then
-        echo "cluster result diverged from single-node (area_mm2=$area):" >&2
+        echo "cluster result diverged from single-node ($label):" >&2
         diff "$workdir/cluster.norm.json" "$workdir/single.norm.json" | head -n 20 >&2
         exit 1
     fi
